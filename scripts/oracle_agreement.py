@@ -8,12 +8,18 @@ enough data to reproduce.
 """
 
 import argparse
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 
-from hyptube.insulator import NearTangencyWarning, flood_fill_oracle, triple_separates
+from hyptube.insulator import NearTangencyWarning, triple_separates
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from conftest import random_circle_instance  # noqa: E402
+from raster_oracle import flood_fill_oracle  # noqa: E402
 
 
 def main() -> int:
@@ -23,12 +29,6 @@ def main() -> int:
     ap.add_argument("--margin", type=float, default=0.04)
     ap.add_argument("--seed", type=int, default=20260823)
     args = ap.parse_args()
-
-    import sys
-    from pathlib import Path
-
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-    from conftest import random_circle_instance
 
     rng = np.random.default_rng(args.seed)
     agree = disagree = excluded = 0

@@ -34,16 +34,13 @@ from .lifts import (
     enumerate_elements,
     lifts_of_geodesic,
     ortho_spectrum,
-    tube_domain_faces,
     tube_radius,
 )
 from .insulator import (
-    GuardBandSwallowedPoint,
     InsulatorFamily,
     NearTangencyWarning,
     Verdict,
     build_family,
-    flood_fill_oracle,
     noncoalesceable,
     triple_separates,
 )
@@ -52,7 +49,6 @@ from .bounds import (
     LOG3_HALF,
     LONG_LEN,
     MEYERHOFF_LEN,
-    THRESHOLDS,
     HypothesisReport,
     hypothesis_report,
     long_geodesic_guarantee,

@@ -8,26 +8,15 @@ the resulting predicates.  All inequalities are strict at the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
+
+from .hcore import TOL, complex_length
 
 LOG3_HALF = math.log(3.0) / 2.0  # 0.5493061443340549
 LONG_LEN = 1.353  # shortest geodesic longer than this guarantees a (log 3)/2 tube
 MEYERHOFF_LEN = 0.0978  # geodesic shorter than this guarantees a (log 3)/2 tube
 GM_LEN = 0.19  # Gehring-Martin improvement of the short-geodesic threshold
-WEEKS_VOL = 1.0149  # informational: volume of the known example without such a tube
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    LOG3_HALF: float = LOG3_HALF
-    LONG_LEN: float = LONG_LEN
-    MEYERHOFF_LEN: float = MEYERHOFF_LEN
-    GM_LEN: float = GM_LEN
-    WEEKS_VOL: float = WEEKS_VOL
-
-
-THRESHOLDS = Thresholds()
 
 _SHORT_THRESHOLDS = {"meyerhoff": MEYERHOFF_LEN, "gehring-martin": GM_LEN}
 
@@ -88,35 +77,14 @@ class HypothesisReport:
         return "hypothesis not established"
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "deltaword": self.deltaword,
-            "delta_length": self.delta_length,
-            "delta_twist": self.delta_twist,
-            "horizon": self.horizon,
-            "cutoff": self.cutoff,
-            "lift_count": self.lift_count,
-            "tube_radius": self.tube_radius,
-            "tube_witness_word": self.tube_witness_word,
-            "tube_verdict": self.tube_verdict,
-            "spectrum": [
-                {"d": d, "theta": th, "word": w} for d, th, w in self.spectrum
-            ],
-            "spectrum_stable": self.spectrum_stable,
-            "displacement": self.displacement,
-            "long_guarantee": self.long_guarantee,
-            "short_guarantee_meyerhoff": self.short_guarantee_meyerhoff,
-            "short_guarantee_gehring_martin": self.short_guarantee_gehring_martin,
-            "insulator_verdict": self.insulator_verdict,
-            "insulator_basis": self.insulator_basis,
-            "insulator_triple": list(self.insulator_triple)
-            if self.insulator_triple is not None
-            else None,
-            "family_size": self.family_size,
-            "established": self.established,
-            "conclusion": self.conclusion(),
-            "notes": self.notes,
-        }
+        """Every field in declaration order, with the conclusion before the notes."""
+        d = {"schema_version": 1, **asdict(self)}
+        d["spectrum"] = [{"d": x, "theta": th, "word": w} for x, th, w in self.spectrum]
+        if self.insulator_triple is not None:
+            d["insulator_triple"] = list(self.insulator_triple)
+        d["conclusion"] = self.conclusion()
+        d["notes"] = d.pop("notes")
+        return d
 
 
 class InconsistentVerdicts(AssertionError):
@@ -129,26 +97,27 @@ def hypothesis_report(
     maxlen: int = 6,
     cutoff: float = 4.0,
     budget: int = 50_000,
+    tol: float = TOL,
 ) -> HypothesisReport:
     """Run the lift and insulator pipelines and combine every verdict.
 
     The insulator check is performed for the base lift only; by equivariance
     of the construction this loses no generality, which is recorded in the
     report notes.  Simplicity of the input geodesic in the quotient is assumed,
-    not checked.
+    not checked.  Every stage reads the lift set's one spectrum, so each lift's
+    orthodistance is computed once.
     """
     from . import insulator as ins
     from . import lifts as lf
-    from .hcore import complex_length
 
     core_length = complex_length(G.element(deltaword))
     L = lf.lifts_of_geodesic(G, deltaword, maxlen)
     entries, _ = lf.ortho_spectrum(L, cutoff)
     tr = lf.tube_radius(L)
-    tube_verdict = lf.check_log3_tube(L)
+    tube_verdict = lf.check_log3_tube(L, tol)
     stable = lf.spectrum_is_stable(L, cutoff=2.0 * LOG3_HALF)
     family = ins.build_family(L, cutoff)
-    verdict = ins.noncoalesceable(family, budget)
+    verdict = ins.noncoalesceable(family, budget, tol)
     if tube_verdict == "holds" and verdict.kind == "coalescing":
         raise InconsistentVerdicts(
             "tube radius clears (log 3)/2 but a separating triple was found"

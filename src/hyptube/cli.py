@@ -195,11 +195,7 @@ _INS_EXIT = {
 
 
 def _cmd_info(gf: GroupFile, args) -> tuple:
-    lines = []
-    data = {"schema_version": 1, "name": gf.name, "generators": [], "geodesics": []}
-    items = [(nm, lifts.Word((i + 1,))) for i, nm in enumerate(gf.presentation.names)]
-    items += [(gname, gf.word(gname)) for gname in gf.geodesics]
-    for label, word in items:
+    def record(label, word):
         g = gf.presentation.element(word)
         kind = classify(g)
         rec = {"label": label, "word": word.to_string(gf.presentation.names), "class": kind}
@@ -207,40 +203,57 @@ def _cmd_info(gf: GroupFile, args) -> tuple:
             cl = complex_length(g)
             rec["length"] = cl.d
             rec["twist"] = cl.theta
-            lines.append(
-                f"{label}: {kind}, length {_fmt(cl.d)}, twist {_fmt(cl.theta)}"
-            )
-        else:
-            lines.append(f"{label}: {kind}")
-        key = "generators" if label in gf.presentation.names else "geodesics"
-        data[key].append(rec)
-    return lines, data, EXIT_AFFIRMATIVE
+        return rec
+
+    data = {
+        "schema_version": 1,
+        "name": gf.name,
+        "generators": [
+            record(nm, lifts.Word((i + 1,))) for i, nm in enumerate(gf.presentation.names)
+        ],
+        "geodesics": [record(gname, gf.word(gname)) for gname in gf.geodesics],
+    }
+    return data, EXIT_AFFIRMATIVE
+
+
+def _text_info(d, args) -> list:
+    return [
+        f"{r['label']}: {r['class']}"
+        + (f", length {_fmt(r['length'])}, twist {_fmt(r['twist'])}" if "length" in r else "")
+        for r in d["generators"] + d["geodesics"]
+    ]
 
 
 def _cmd_spectrum(gf: GroupFile, args) -> tuple:
     word = gf.word(args.geodesic)
     L = lifts.lifts_of_geodesic(gf.presentation, word, args.max_word_length)
     entries, diags = lifts.ortho_spectrum(L, args.cutoff)
-    lines = [
-        f"ortholength spectrum of {args.geodesic!r} "
-        f"(horizon {L.horizon}, cutoff {_fmt(args.cutoff)}, {len(L.lifts)} lifts)"
-    ]
     data = {
         "schema_version": 1,
         "geodesic": args.geodesic,
         "horizon": L.horizon,
         "cutoff": args.cutoff,
         "lift_count": len(L.lifts),
-        "entries": [],
+        "entries": [
+            {"d": e.distance.d, "theta": e.distance.theta,
+             "word": e.word.to_string(gf.presentation.names)}
+            for e in entries
+        ],
         "diagnostics": [list(d) for d in diags],
     }
-    for e in entries:
-        w = e.word.to_string(gf.presentation.names)
-        lines.append(f"  d {_fmt(e.distance.d)}  twist {_fmt(e.distance.theta)}  word {w}")
-        data["entries"].append({"d": e.distance.d, "theta": e.distance.theta, "word": w})
-    for j, msg in diags:
+    return data, EXIT_AFFIRMATIVE
+
+
+def _text_spectrum(d, args) -> list:
+    lines = [
+        f"ortholength spectrum of {d['geodesic']!r} "
+        f"(horizon {d['horizon']}, cutoff {_fmt(d['cutoff'])}, {d['lift_count']} lifts)"
+    ]
+    for e in d["entries"]:
+        lines.append(f"  d {_fmt(e['d'])}  twist {_fmt(e['theta'])}  word {e['word']}")
+    for j, msg in d["diagnostics"]:
         lines.append(f"  ! lift {j}: {msg}")
-    return lines, data, EXIT_AFFIRMATIVE
+    return lines
 
 
 def _cmd_tube(gf: GroupFile, args) -> tuple:
@@ -248,24 +261,28 @@ def _cmd_tube(gf: GroupFile, args) -> tuple:
     L = lifts.lifts_of_geodesic(gf.presentation, word, args.max_word_length)
     tr = lifts.tube_radius(L)
     verdict = lifts.check_log3_tube(L, args.tol)
-    wit = tr.witness.word.to_string(gf.presentation.names) if tr.witness else None
-    lines = [f"tube radius: {_fmt(tr.radius)} (horizon {tr.horizon})"]
-    if wit is not None:
-        lines.append(f"witness word: {wit}")
-    lines.append(f"log3/2 tube criterion: {verdict} (threshold {_fmt(bounds.LOG3_HALF)})")
-    if L.displacement is not None:
-        lines.append(f"frontier displacement: {_fmt(L.displacement)}")
     data = {
         "schema_version": 1,
         "geodesic": args.geodesic,
         "tube_radius": tr.radius,
         "horizon": tr.horizon,
-        "witness_word": wit,
+        "witness_word": tr.witness.word.to_string(gf.presentation.names)
+        if tr.witness else None,
         "verdict": verdict,
         "threshold": bounds.LOG3_HALF,
         "displacement": L.displacement,
     }
-    return lines, data, _TUBE_EXIT[verdict]
+    return data, _TUBE_EXIT[verdict]
+
+
+def _text_tube(d, args) -> list:
+    lines = [f"tube radius: {_fmt(d['tube_radius'])} (horizon {d['horizon']})"]
+    if d["witness_word"] is not None:
+        lines.append(f"witness word: {d['witness_word']}")
+    lines.append(f"log3/2 tube criterion: {d['verdict']} (threshold {_fmt(d['threshold'])})")
+    if d["displacement"] is not None:
+        lines.append(f"frontier displacement: {_fmt(d['displacement'])}")
+    return lines
 
 
 def _cmd_insulator(gf: GroupFile, args) -> tuple:
@@ -273,17 +290,6 @@ def _cmd_insulator(gf: GroupFile, args) -> tuple:
     L = lifts.lifts_of_geodesic(gf.presentation, word, args.max_word_length)
     family = insulator.build_family(L, args.cutoff)
     verdict = insulator.noncoalesceable(family, args.budget, args.tol)
-    lines = [
-        f"insulator family of {args.geodesic!r}: {len(family)} members "
-        f"(horizon {L.horizon}, cutoff {_fmt(args.cutoff)})"
-    ]
-    for m in family.members:
-        lines.append(
-            f"  ortho {_fmt(m.ortho.d)}  word {m.word.to_string(gf.presentation.names)}"
-        )
-    lines.append(f"verdict: {verdict.kind} (basis {verdict.basis})")
-    if verdict.triple is not None:
-        lines.append(f"separating triple: {verdict.triple}")
     data = {
         "schema_version": 1,
         "geodesic": args.geodesic,
@@ -297,7 +303,21 @@ def _cmd_insulator(gf: GroupFile, args) -> tuple:
         "basis": verdict.basis,
         "triple": list(verdict.triple) if verdict.triple is not None else None,
     }
-    return lines, data, _INS_EXIT[verdict.kind]
+    return data, _INS_EXIT[verdict.kind]
+
+
+def _text_insulator(d, args) -> list:
+    # the horizon is the requested word length; the JSON does not repeat the inputs
+    lines = [
+        f"insulator family of {d['geodesic']!r}: {d['family_size']} members "
+        f"(horizon {args.max_word_length}, cutoff {_fmt(args.cutoff)})"
+    ]
+    for m in d["members"]:
+        lines.append(f"  ortho {_fmt(m['d'])}  word {m['word']}")
+    lines.append(f"verdict: {d['verdict']} (basis {d['basis']})")
+    if d["triple"] is not None:
+        lines.append(f"separating triple: {tuple(d['triple'])}")
+    return lines
 
 
 def _cmd_check(gf: GroupFile, args) -> tuple:
@@ -308,33 +328,36 @@ def _cmd_check(gf: GroupFile, args) -> tuple:
         maxlen=args.max_word_length,
         cutoff=args.cutoff,
         budget=args.budget,
+        tol=args.tol,
     )
-    d = report.to_dict()
-    lines = [
-        f"geodesic {args.geodesic!r} = {report.deltaword}",
-        f"complex length: {_fmt(report.delta_length)} + {_fmt(report.delta_twist)}i",
-        f"lifts: {report.lift_count} (horizon {report.horizon}, cutoff {_fmt(report.cutoff)})",
-        f"tube radius: {_fmt(report.tube_radius)}"
-        + (f" (witness {report.tube_witness_word})" if report.tube_witness_word else ""),
-        f"log3/2 tube criterion: {report.tube_verdict}",
-        f"spectrum stable: {report.spectrum_stable}",
-        f"frontier displacement: {_fmt(report.displacement)}",
-        f"long-geodesic guarantee (>{_fmt(bounds.LONG_LEN)}): {report.long_guarantee}",
-        f"short-geodesic guarantee (<{_fmt(bounds.MEYERHOFF_LEN)}): "
-        f"{report.short_guarantee_meyerhoff}",
-        f"short-geodesic guarantee (<{_fmt(bounds.GM_LEN)}): "
-        f"{report.short_guarantee_gehring_martin}",
-        f"insulator verdict: {report.insulator_verdict} (basis {report.insulator_basis}, "
-        f"{report.family_size} members)",
-        f"conclusion: {report.conclusion()}",
-    ]
-    for note in report.notes:
-        lines.append(f"note: {note}")
     code = EXIT_AFFIRMATIVE if report.established else (
         EXIT_NEGATIVE if report.insulator_verdict == "coalescing" or report.tube_verdict == "fails"
         else EXIT_INCONCLUSIVE
     )
-    return lines, d, code
+    return report.to_dict(), code
+
+
+def _text_check(d, args) -> list:
+    witness = d["tube_witness_word"]
+    lines = [
+        f"geodesic {args.geodesic!r} = {d['deltaword']}",
+        f"complex length: {_fmt(d['delta_length'])} + {_fmt(d['delta_twist'])}i",
+        f"lifts: {d['lift_count']} (horizon {d['horizon']}, cutoff {_fmt(d['cutoff'])})",
+        f"tube radius: {_fmt(d['tube_radius'])}" + (f" (witness {witness})" if witness else ""),
+        f"log3/2 tube criterion: {d['tube_verdict']}",
+        f"spectrum stable: {d['spectrum_stable']}",
+        f"frontier displacement: {_fmt(d['displacement'])}",
+        f"long-geodesic guarantee (>{_fmt(bounds.LONG_LEN)}): {d['long_guarantee']}",
+        f"short-geodesic guarantee (<{_fmt(bounds.MEYERHOFF_LEN)}): "
+        f"{d['short_guarantee_meyerhoff']}",
+        f"short-geodesic guarantee (<{_fmt(bounds.GM_LEN)}): "
+        f"{d['short_guarantee_gehring_martin']}",
+        f"insulator verdict: {d['insulator_verdict']} (basis {d['insulator_basis']}, "
+        f"{d['family_size']} members)",
+        f"conclusion: {d['conclusion']}",
+    ]
+    lines += [f"note: {note}" for note in d["notes"]]
+    return lines
 
 
 def _cmd_lemma120(args) -> tuple:
@@ -342,13 +365,24 @@ def _cmd_lemma120(args) -> tuple:
     if not any(abs(d - bounds.LOG3_HALF) < 5e-7 for d in ds):
         ds.append(bounds.LOG3_HALF)
     ds.sort()
-    lines = ["distance    visual angle (deg)"]
-    data = {"schema_version": 1, "rows": []}
-    for d in ds:
-        ang = math.degrees(visual_angle(d))
-        lines.append(f"{d:.6f}    {ang:.6f}")
-        data["rows"].append({"d": d, "angle_deg": ang})
-    return lines, data, EXIT_AFFIRMATIVE
+    rows = [{"d": d, "angle_deg": math.degrees(visual_angle(d))} for d in ds]
+    return {"schema_version": 1, "rows": rows}, EXIT_AFFIRMATIVE
+
+
+def _text_lemma120(d, args) -> list:
+    return ["distance    visual angle (deg)"] + [
+        f"{r['d']:.6f}    {r['angle_deg']:.6f}" for r in d["rows"]
+    ]
+
+
+_COMMANDS = {  # name -> (command, text renderer of its report dict)
+    "info": (_cmd_info, _text_info),
+    "spectrum": (_cmd_spectrum, _text_spectrum),
+    "tube": (_cmd_tube, _text_tube),
+    "insulator": (_cmd_insulator, _text_insulator),
+    "check": (_cmd_check, _text_check),
+    "lemma120": (_cmd_lemma120, _text_lemma120),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -364,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cutoff", type=float, default=4.0, metavar="R")
     common.add_argument("--tol", type=float, default=1e-9, metavar="T")
     common.add_argument("--budget", type=int, default=50_000, metavar="K")
-    common.add_argument("--seed", type=int, default=0, metavar="S")
     common.add_argument("--format", choices=("text", "json"), default="text")
     ap = _Parser(
         prog="hyptube",
@@ -392,27 +425,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, text = _COMMANDS[args.command]
     try:
         if args.command == "lemma120":
-            lines, data, code = _cmd_lemma120(args)
+            data, code = command(args)
         else:
             with open(args.groupfile, encoding="utf-8") as fh:
                 gf = parse_group_file(fh.read())
-            handler = {
-                "info": _cmd_info,
-                "spectrum": _cmd_spectrum,
-                "tube": _cmd_tube,
-                "insulator": _cmd_insulator,
-                "check": _cmd_check,
-            }[args.command]
-            lines, data, code = handler(gf, args)
+            data, code = command(gf, args)
     except (GroupFileError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except (AssertionError, RuntimeError) as exc:  # a broken internal invariant
+        print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:
-        print("\n".join(lines))
+        print("\n".join(text(data, args)))
     return code
 
 

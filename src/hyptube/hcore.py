@@ -440,7 +440,7 @@ def classify(g: Isometry, tol: float = TOL) -> str:
     t2 = g.trace() ** 2
     if abs(t2 - 4.0) <= tol:
         return "parabolic"
-    if abs(t2.imag) <= tol and 0.0 <= t2.real < 4.0:
+    if abs(t2.imag) <= tol and -tol <= t2.real < 4.0:
         return "elliptic"
     return "loxodromic"
 

@@ -3,8 +3,7 @@
 The separation question -- do up to three circles on the sphere jointly
 separate two marked points? -- is decided by an exact arrangement: pairwise
 intersections, arc subdivision, face extraction, and point location by ray
-shooting.  A randomized flood-fill oracle on a spherical raster is provided
-for testing and diagnostics only.
+shooting.
 
 The arrangement is computed in an affine chart obtained by moving a point far
 from all circles to infinity, so every curve stays an honest circle and no
@@ -30,7 +29,6 @@ from .hcore import (
     TOL,
     CircleOnSphere,
     ComplexDistance,
-    Geodesic,
     IdealPoint,
     IntersectingLines,
     Isometry,
@@ -46,10 +44,6 @@ DEFAULT_BUDGET = 50_000
 
 class NearTangencyWarning(UserWarning):
     """Two circles are tangent within tolerance; face topology is unstable."""
-
-
-class GuardBandSwallowedPoint(ValueError):
-    """A query point fell inside the raster oracle's guard band."""
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +73,9 @@ class InsulatorFamily:
 
 def build_family(L: LiftSet, cutoff: float) -> InsulatorFamily:
     """Midplane circle for each lift within the ortholength cutoff."""
-    entries, spec_diags = ortho_spectrum(L, cutoff)
+    entries, diagnostics = ortho_spectrum(L, cutoff)
     p_plus, p_minus = L.base.endpoints
     members = []
-    diagnostics = list(spec_diags)
     for e in entries:
         try:
             circ = midplane(L.base, L.lifts[e.index].geodesic)
@@ -455,88 +448,3 @@ def noncoalesceable(
         if sep:
             return Verdict("coalescing", "exhaustive-triples", triple=idx, tested=tested, flagged=flagged)
     return Verdict("noncoalesceable", "exhaustive-triples", tested=tested, flagged=flagged)
-
-
-# ---------------------------------------------------------------------------
-# raster oracle (tests and diagnostics only)
-
-
-def flood_fill_oracle(
-    circles,
-    p: IdealPoint,
-    q: IdealPoint,
-    resolution: int = 512,
-    seed: int = 0,
-    guard_factor: float = 1.5,
-) -> bool:
-    """Raster check of separation: True iff p and q land in different
-    connected regions of a spherical grid with circle guard bands removed.
-
-    The grid is randomly rotated from the seed to decorrelate alignment
-    artifacts.  Intended as an independent test oracle for triple_separates.
-    """
-    if resolution < 64:
-        raise ValueError("resolution must be at least 64")
-    rng = np.random.default_rng(seed)
-    mat = rng.normal(size=(3, 3))
-    rot, _ = np.linalg.qr(mat)
-    if np.linalg.det(rot) < 0:
-        rot[:, 0] = -rot[:, 0]
-
-    nth, nph = resolution, 2 * resolution
-    theta = (np.arange(nth) + 0.5) * math.pi / nth
-    phi = (np.arange(nph) + 0.5) * 2.0 * math.pi / nph
-    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
-    cp, sp = np.cos(phi)[None, :], np.sin(phi)[None, :]
-    grid = np.stack(
-        [st * cp, st * sp, np.broadcast_to(ct, (nth, nph))], axis=-1
-    )  # (nth, nph, 3)
-
-    guard = guard_factor * math.pi / resolution
-    blocked = np.zeros((nth, nph), dtype=bool)
-    for c in circles:
-        n, h = c.to_sphere_plane()
-        nv = rot @ np.array(n)
-        beta = math.acos(max(-1.0, min(1.0, h)))
-        alpha = np.arccos(np.clip(grid @ nv, -1.0, 1.0))
-        blocked |= np.abs(alpha - beta) < guard
-
-    def cell_of(pt):
-        u = rot @ np.array(pt.sphere_point())
-        th = math.acos(max(-1.0, min(1.0, u[2])))
-        ph = math.atan2(u[1], u[0]) % (2.0 * math.pi)
-        i = min(nth - 1, int(th / (math.pi / nth)))
-        j = min(nph - 1, int(ph / (2.0 * math.pi / nph)))
-        return i, j
-
-    ip, jp = cell_of(p)
-    iq, jq = cell_of(q)
-    if blocked[ip, jp] or blocked[iq, jq]:
-        raise GuardBandSwallowedPoint("query point inside guard band")
-
-    from scipy import ndimage
-
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    labels, _ = ndimage.label(~blocked, structure=structure)
-
-    # merge across the azimuthal seam
-    merges = {}
-
-    def union(a, b):
-        ra, rb = find_label(a), find_label(b)
-        if ra != rb:
-            merges[max(ra, rb)] = min(ra, rb)
-
-    def find_label(a):
-        while a in merges:
-            a = merges[a]
-        return a
-
-    left, right = labels[:, 0], labels[:, -1]
-    for a, b in zip(left, right):
-        if a > 0 and b > 0:
-            union(int(a), int(b))
-
-    la = find_label(int(labels[ip, jp]))
-    lb = find_label(int(labels[iq, jq]))
-    return la != lb

@@ -10,8 +10,8 @@ adequacy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,14 +21,12 @@ from .hcore import (
     ComplexDistance,
     Geodesic,
     HPoint,
-    IntersectingLines,
     Isometry,
     NotLoxodromic,
     SharedEndpoint,
     _send_to_zero_infinity,
     axis,
     classify,
-    midplane,
     orthodistance,
 )
 from .bounds import LOG3_HALF
@@ -124,28 +122,29 @@ class GroupPresentation:
         )
 
 
-class _MatrixDeduper:
-    """Vectorized matching of normalized matrices up to global sign."""
+class _Deduper:
+    """Vectorized matching of a row, or its one alternate form, against the
+    rows added so far: a matrix up to global sign, a geodesic up to the order
+    of its endpoints."""
 
     def __init__(self, tol: float = DEDUP_TOL):
         self.tol = tol
         self._rows = []
         self._arr = None
 
-    def find(self, g: Isometry) -> Optional[int]:
+    def find(self, row, alt) -> Optional[int]:
         if not self._rows:
             return None
         if self._arr is None or self._arr.shape[0] != len(self._rows):
             self._arr = np.array(self._rows)
-        m = np.array(g.entries())
-        dplus = np.abs(self._arr - m).max(axis=1)
-        dminus = np.abs(self._arr + m).max(axis=1)
-        d = np.minimum(dplus, dminus)
+        d1 = np.abs(self._arr - row).max(axis=1)
+        d2 = np.abs(self._arr - alt).max(axis=1)
+        d = np.minimum(d1, d2)
         j = int(d.argmin())
         return j if d[j] <= self.tol else None
 
-    def add(self, g: Isometry) -> int:
-        self._rows.append(list(g.entries()))
+    def add(self, row) -> int:
+        self._rows.append(row)
         self._arr = None
         return len(self._rows) - 1
 
@@ -174,9 +173,9 @@ def enumerate_elements(G: GroupPresentation, maxlen: int) -> ElementBall:
     """
     if maxlen < 0:
         raise ValueError("maxlen must be nonnegative")
-    dedup = _MatrixDeduper()
+    dedup = _Deduper()
     ball = ElementBall(elements=[(Isometry.identity(), Word())])
-    dedup.add(Isometry.identity())
+    dedup.add(np.array(Isometry.identity().entries()))
     ngen = len(G.generators)
     frontier = [(Isometry.identity(), Word())]
     for _ in range(maxlen):
@@ -192,12 +191,13 @@ def enumerate_elements(G: GroupPresentation, maxlen: int) -> ElementBall:
                     ball.warnings.append(
                         f"entries of word {w2.to_string(G.names)} exceed 1e12"
                     )
-                j = dedup.find(g2)
+                m = np.array(g2.entries())
+                j = dedup.find(m, -m)
                 if j is not None:
                     if j == 0 and len(w2) > 0:
                         ball.relations.append(w2)
                     continue
-                dedup.add(g2)
+                dedup.add(m)
                 ball.elements.append((g2, w2))
                 nxt.append((g2, w2))
         # canonical order within each shell
@@ -230,40 +230,32 @@ class LiftSet:
     def basepoint(self) -> HPoint:
         return _send_to_zero_infinity(self.base).inverse().apply_h(HPoint(0j, 1.0))
 
+    @cached_property
+    def spectrum(self):
+        """(entries, diagnostics) as tuples: the OrthoEntry of every lift but
+        the base, sorted by (distance, word length, word, lift index).
 
-def _geodesic_vec(g: Geodesic):
-    p, q = g.endpoints
-    return np.array(p.sphere_point() + q.sphere_point())
+        Computed on first use and kept, so the lifts must not change after.
+        Lifts sharing an ideal endpoint with the base are reported as
+        diagnostics, not failures.
+        """
+        entries = []
+        diagnostics = []
+        for j, lift in enumerate(self.lifts[1:], start=1):
+            try:
+                dist = orthodistance(self.base, lift.geodesic)
+            except SharedEndpoint:
+                diagnostics.append((j, "shares an endpoint with the base lift"))
+                continue
+            entries.append(OrthoEntry(j, dist, lift.word))
+        entries.sort(key=lambda e: (e.distance.d, len(e.word), e.word.sort_key(), e.index))
+        return tuple(entries), tuple(diagnostics)
 
 
-def _swap_vec(v):
-    return np.concatenate([v[3:], v[:3]])
-
-
-class _GeodesicDeduper:
-    """Chordal matching of unordered endpoint pairs on the sphere."""
-
-    def __init__(self, tol: float = 1e-9):
-        self.tol = tol
-        self._rows = []
-        self._arr = None
-
-    def find(self, g: Geodesic) -> Optional[int]:
-        if not self._rows:
-            return None
-        if self._arr is None or self._arr.shape[0] != len(self._rows):
-            self._arr = np.array(self._rows)
-        v = _geodesic_vec(g)
-        d1 = np.abs(self._arr - v).max(axis=1)
-        d2 = np.abs(self._arr - _swap_vec(v)).max(axis=1)
-        d = np.minimum(d1, d2)
-        j = int(d.argmin())
-        return j if d[j] <= self.tol else None
-
-    def add(self, g: Geodesic) -> int:
-        self._rows.append(list(_geodesic_vec(g)))
-        self._arr = None
-        return len(self._rows) - 1
+def _endpoint_rows(g: Geodesic):
+    """Both orders of the endpoints of g, as points on the unit sphere."""
+    p, q = (e.sphere_point() for e in g.endpoints)
+    return np.array(p + q), np.array(q + p)
 
 
 def lifts_of_geodesic(G: GroupPresentation, deltaword: Word, maxlen: int) -> LiftSet:
@@ -280,15 +272,16 @@ def lifts_of_geodesic(G: GroupPresentation, deltaword: Word, maxlen: int) -> Lif
         )
     base = axis(core)
     ball = enumerate_elements(G, maxlen)
-    dedup = _GeodesicDeduper()
-    dedup.add(base)
+    dedup = _Deduper()
+    dedup.add(_endpoint_rows(base)[0])
     lifts = [Lift(base, Word(), 0)]
     for g, w in ball.elements:
         if len(w) == 0:
             continue
         geo = g.apply_geodesic(base)
-        if dedup.find(geo) is None:
-            dedup.add(geo)
+        v, alt = _endpoint_rows(geo)
+        if dedup.find(v, alt) is None:
+            dedup.add(v)
             lifts.append(Lift(geo, w, len(w)))
     ls = LiftSet(
         base=base,
@@ -316,28 +309,13 @@ class OrthoEntry:
     word: Word
 
 
-def ortho_spectrum(L: LiftSet, cutoff: float, max_wordlen: Optional[int] = None):
-    """Sorted ortholength spectrum between the base lift and every other lift.
-
-    Returns (entries, diagnostics); lifts sharing an ideal endpoint with the
-    base are reported as diagnostics, not failures.
-    """
+def ortho_spectrum(L: LiftSet, cutoff: float):
+    """Sorted ortholength spectrum between the base lift and every other lift
+    within the cutoff: (entries, diagnostics), filtered from L.spectrum."""
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    entries = []
-    diagnostics = []
-    for j, lift in enumerate(L.lifts[1:], start=1):
-        if max_wordlen is not None and lift.wordlen > max_wordlen:
-            continue
-        try:
-            dist = orthodistance(L.base, lift.geodesic)
-        except SharedEndpoint:
-            diagnostics.append((j, "shares an endpoint with the base lift"))
-            continue
-        if dist.d <= cutoff:
-            entries.append(OrthoEntry(j, dist, lift.word))
-    entries.sort(key=lambda e: (e.distance.d, len(e.word), e.word.sort_key(), e.index))
-    return entries, diagnostics
+    entries, diagnostics = L.spectrum
+    return [e for e in entries if e.distance.d <= cutoff], list(diagnostics)
 
 
 @dataclass(frozen=True)
@@ -353,7 +331,7 @@ def tube_radius(L: LiftSet) -> TubeRadius:
     An upper bound on the true tube radius: only lifts within the word-length
     horizon are seen.  None (unbounded) when no other lift was found.
     """
-    entries, _ = ortho_spectrum(L, cutoff=math.inf)
+    entries, _ = L.spectrum
     if not entries:
         return TubeRadius(None, None, L.horizon)
     best = entries[0]
@@ -363,13 +341,15 @@ def tube_radius(L: LiftSet) -> TubeRadius:
 def spectrum_is_stable(L: LiftSet, cutoff: float) -> Optional[bool]:
     """True when the spectrum within cutoff is identical at the last two horizons.
 
-    None when the lift set has no previous horizon to compare against.
+    The lifts within the previous horizon are exactly those of shorter word
+    length, so the two spectra agree iff no entry within the cutoff comes from
+    a lift at the horizon's word length.  None when the lift set has no
+    previous horizon to compare against.
     """
     if L.horizon < 1:
         return None
-    cur, _ = ortho_spectrum(L, cutoff)
-    prev, _ = ortho_spectrum(L, cutoff, max_wordlen=L.horizon - 1)
-    return len(cur) == len(prev)
+    entries, _ = ortho_spectrum(L, cutoff)
+    return not any(len(e.word) == L.horizon for e in entries)
 
 
 def check_log3_tube(L: LiftSet, tol: float = TOL) -> str:
@@ -389,52 +369,3 @@ def check_log3_tube(L: LiftSet, tol: float = TOL) -> str:
     if tr.radius is None or tr.radius > LOG3_HALF + tol:
         return "holds"
     return "inconclusive"
-
-
-def tube_domain_faces(L: LiftSet, samples: int = 400):
-    """Indices of lifts whose midplane contributes a face of the Dirichlet tube domain.
-
-    Sampling-based: a reported face is certain up to tolerance; a face meeting
-    the domain in a region smaller than the sample spacing may be missed.
-    """
-    if len(L.lifts) < 2:
-        raise ValueError("need at least two lifts")
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    # work in the chart where the base is the vertical axis; every midplane is
-    # then an honest hemisphere not meeting the axis
-    t = _send_to_zero_infinity(L.base)
-    base0 = Geodesic.through(0.0, math.inf)
-    planes = []  # (index, center, radius)
-    for j, lift in enumerate(L.lifts[1:], start=1):
-        geo = t.apply_geodesic(lift.geodesic)
-        try:
-            c = midplane(base0, geo)
-        except (SharedEndpoint, IntersectingLines):
-            continue
-        planes.append((j, c.center, c.radius))
-    if not planes:
-        return []
-    n_theta = max(8, int(math.ceil(math.sqrt(2.0 * samples))))
-    n_phi = max(4, int(math.ceil(samples / n_theta)))
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    phis = (np.arange(n_phi) + 0.5) * (math.pi / 2.0) / n_phi
-    centers = np.array([c for _, c, _ in planes])
-    radii = np.array([r for _, _, r in planes])
-    faces = []
-    for k, (j, cj, rj) in enumerate(planes):
-        z = cj + rj * np.outer(np.cos(phis), np.exp(1j * thetas))
-        tt = rj * np.sin(phis)[:, None] * np.ones_like(thetas)[None, :]
-        zz = z.ravel()[None, :]
-        hh = tt.ravel()[None, :]
-        u = (
-            np.abs(zz - centers[:, None]) ** 2
-            + hh**2
-            - (radii**2)[:, None]
-        )
-        mask = np.ones(len(planes), dtype=bool)
-        mask[k] = False
-        inside = (u[mask] > 1e-9 * (radii[mask] ** 2)[:, None]).all(axis=0)
-        if inside.any():
-            faces.append(j)
-    return faces

@@ -37,11 +37,11 @@ from hyptube.insulator import (
     InsulatorFamily,
     NearTangencyWarning,
     build_family,
-    flood_fill_oracle,
     noncoalesceable,
     triple_separates,
 )
 from hyptube.lifts import Word, check_log3_tube, lifts_of_geodesic, tube_radius
+from raster_oracle import flood_fill_oracle
 
 
 def _report(capsys, line):

@@ -1,18 +1,18 @@
 """Threshold predicates and the combined hypothesis report."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from conftest import twolift_presentation
-from hyptube import bounds
+from hyptube import lifts
+from hyptube.cli import parse_group_file
 from hyptube.bounds import (
     GM_LEN,
     LOG3_HALF,
     LONG_LEN,
     MEYERHOFF_LEN,
-    THRESHOLDS,
-    WEEKS_VOL,
     HypothesisReport,
     InconsistentVerdicts,
     hypothesis_report,
@@ -43,10 +43,9 @@ def test_log3_half_value():
 
 
 def test_threshold_constants():
-    assert THRESHOLDS.LONG_LEN == LONG_LEN == 1.353
-    assert THRESHOLDS.MEYERHOFF_LEN == MEYERHOFF_LEN == 0.0978
-    assert THRESHOLDS.GM_LEN == GM_LEN == 0.19
-    assert THRESHOLDS.WEEKS_VOL == WEEKS_VOL == 1.0149
+    assert LONG_LEN == 1.353
+    assert MEYERHOFF_LEN == 0.0978
+    assert GM_LEN == 0.19
 
 
 # ---------------------------------------------------------------------------
@@ -160,3 +159,20 @@ def test_report_guarantees_evaluated():
     assert not rep.long_guarantee
     assert not rep.short_guarantee_meyerhoff
     assert not rep.short_guarantee_gehring_martin
+
+
+def test_report_computes_each_orthodistance_once(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "groups" / "shorttube.grp"
+    gf = parse_group_file(path.read_text())
+    calls = []
+    real = lifts.orthodistance
+
+    def counted(g1, g2):
+        calls.append((g1, g2))
+        return real(g1, g2)
+
+    monkeypatch.setattr(lifts, "orthodistance", counted)
+    # the budget only bounds the triple search, which computes no orthodistance
+    rep = hypothesis_report(gf.presentation, gf.word("delta"), maxlen=6, budget=1)
+    assert rep.lift_count == 64
+    assert len(calls) == rep.lift_count - 1

@@ -203,3 +203,30 @@ def test_groupfile_word_lookup_error():
     gf = parse_group_file(VALID)
     with pytest.raises(KeyError):
         gf.word("missing")
+
+
+def test_check_honours_tol(capsys):
+    argv = [TWOLIFT, "delta", "--max-word-length", "1", "--tol", "0.2", "--format", "json"]
+    run(["tube"] + argv)
+    tube = json.loads(capsys.readouterr().out)
+    run(["check"] + argv)
+    check = json.loads(capsys.readouterr().out)
+    # radius 0.658 lies within tol of (log 3)/2, so neither can say "holds"
+    assert tube["verdict"] == check["tube_verdict"] == "inconclusive"
+
+
+def test_seed_flag_removed():
+    with pytest.raises(SystemExit) as exc:
+        run(["lemma120", "--seed", "1"])
+    assert exc.value.code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("exc_type", [AssertionError, RuntimeError])
+def test_internal_error_exit_code(monkeypatch, capsys, exc_type):
+    def broken(*args, **kwargs):
+        raise exc_type("invariant broken")
+
+    monkeypatch.setattr("hyptube.insulator.noncoalesceable", broken)
+    for command in ("insulator", "check"):
+        assert run([command, TWOLIFT, "delta", "--max-word-length", "1"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: internal: invariant broken\n"

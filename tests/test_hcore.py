@@ -87,6 +87,22 @@ def test_classify():
     assert classify(rot) == "elliptic"
 
 
+def test_classify_conjugated_involution():
+    # g of groups/shorttube.grp; conjugated near the identity, its tr^2 rounds
+    # to about -5e-32 for seeds 0, 4 and 7 instead of exactly 0
+    g = Isometry.from_matrix(
+        -1.1276259652063809j, 0.61239182501843326j,
+        -0.44340944198503701j, 1.1276259652063809j,
+    )
+    for seed in range(8):
+        e = np.random.default_rng(seed).normal(scale=1e-3, size=8)
+        h = Isometry.from_matrix(
+            complex(1 + e[0], e[1]), complex(e[2], e[3]),
+            complex(e[4], e[5]), complex(1 + e[6], e[7]),
+        )
+        assert classify(h @ g @ h.inverse()) == "elliptic"
+
+
 # ---------------------------------------------------------------------------
 # complex length and axes
 

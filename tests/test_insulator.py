@@ -20,16 +20,15 @@ from hyptube.hcore import (
 from hyptube.insulator import (
     Arrangement,
     FamilyMember,
-    GuardBandSwallowedPoint,
     InsulatorFamily,
     NearTangencyWarning,
     build_family,
-    flood_fill_oracle,
     noncoalesceable,
     separates_union,
     triple_separates,
 )
 from hyptube.lifts import Word, lifts_of_geodesic
+from raster_oracle import GuardBandSwallowedPoint, flood_fill_oracle
 
 ACOSH2 = math.acosh(2.0)
 ROOTS = [cmath.exp(2j * math.pi * k / 3) for k in range(3)]

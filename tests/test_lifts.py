@@ -1,11 +1,14 @@
-"""Enumeration, lift sets, ortholength spectrum, tube radius, face data."""
+"""Enumeration, lift sets, ortholength spectrum, tube radius."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from conftest import random_isometry, twolift_presentation
-from hyptube.hcore import Geodesic, Isometry, NotLoxodromic, ideal, orthodistance
+from hyptube.bounds import LOG3_HALF
+from hyptube.cli import parse_group_file
+from hyptube.hcore import TOL, Geodesic, Isometry, NotLoxodromic, ideal, orthodistance
 from hyptube.lifts import (
     GroupPresentation,
     Lift,
@@ -16,10 +19,10 @@ from hyptube.lifts import (
     lifts_of_geodesic,
     ortho_spectrum,
     spectrum_is_stable,
-    tube_domain_faces,
     tube_radius,
 )
 
+CORPUS = sorted((Path(__file__).resolve().parents[1] / "groups").glob("*.grp"))
 SQRT3 = math.sqrt(3.0)
 ACOSH2 = math.acosh(2.0)
 
@@ -284,58 +287,32 @@ def test_check_log3_fails_on_short_orthodistance():
 
 
 # ---------------------------------------------------------------------------
-# tube-domain faces
+# one spectrum per lift set
 
 
-def test_faces_two_lift(twolift):
-    L = lifts_of_geodesic(twolift, Word((1,)), 1)
-    assert tube_domain_faces(L) == [1]
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_stability_is_no_entry_at_the_horizon(path):
+    gf = parse_group_file(path.read_text())
+    G, w = gf.presentation, gf.word("delta")
+    prev = lifts_of_geodesic(G, w, 0)
+    for h in range(1, 7):
+        L = lifts_of_geodesic(G, w, h)
+        for cutoff in (2.0 * LOG3_HALF, 2.0 * (LOG3_HALF + TOL), 4.0):
+            cur, _ = ortho_spectrum(L, cutoff)
+            old, _ = ortho_spectrum(prev, cutoff)
+            at_horizon = any(len(e.word) == h for e in cur)
+            same = [e.word for e in cur] == [e.word for e in old] and all(
+                a.distance.d == pytest.approx(b.distance.d, abs=1e-12)
+                for a, b in zip(cur, old)
+            )
+            assert spectrum_is_stable(L, cutoff) is (not at_horizon) is same
+        prev = L
 
 
-def test_faces_input_validation(twolift):
-    L1 = lifts_of_geodesic(cyclic_presentation(), Word((1,)), 2)
-    with pytest.raises(ValueError):
-        tube_domain_faces(L1)
-    L = lifts_of_geodesic(twolift, Word((1,)), 1)
-    with pytest.raises(ValueError):
-        tube_domain_faces(L, samples=50)
-
-
-def _shielded_liftset() -> LiftSet:
-    """Base (0,oo), lift (1,3), and a translate of (1,3) pushed directly
-    behind it along their common perpendicular (-sqrt3, sqrt3)."""
-    base = Geodesic.through(0.0, math.inf)
-    near = Geodesic.through(1.0, 3.0)
-    # loxodromic along (-sqrt3, sqrt3) with translation length arccosh 2
-    send = Isometry.from_matrix(SQRT3, -SQRT3, 1, 1)  # 0 -> -sqrt3, oo -> sqrt3
-    s = math.exp(ACOSH2 / 2.0)
-    tau = send @ Isometry.from_matrix(s, 0, 0, 1 / s) @ send.inverse()
-    far = tau.apply_geodesic(near)
-    if orthodistance(base, far).d < 2 * ACOSH2 - 1e-9:
-        far = tau.inverse().apply_geodesic(near)
-    assert orthodistance(base, far).d == pytest.approx(2 * ACOSH2, abs=1e-9)
-    core = Isometry.from_matrix(SQRT3, 0, 0, 1 / SQRT3)
-    return LiftSet(
-        base=base,
-        core=core,
-        deltaword=Word((1,)),
-        lifts=[Lift(base, Word(), 0), Lift(near, Word((2,)), 1), Lift(far, Word((3,)), 1)],
-        horizon=1,
-    )
-
-
-def test_faces_shielded_midplane_absent():
-    L = _shielded_liftset()
-    assert tube_domain_faces(L) == [1]
-    # oracle: tenfold sampling density agrees
-    assert tube_domain_faces(L, samples=4000) == [1]
-
-
-def test_faces_equivariance(twolift, rng):
-    L = lifts_of_geodesic(twolift, Word((1,)), 2)
-    ref = tube_domain_faces(L)
-    for _ in range(3):
-        h = random_isometry(rng)
-        Lh = lifts_of_geodesic(twolift.conjugated(h), Word((1,)), 2)
-        # same number of faces; index sets may differ only via lift reordering
-        assert len(tube_domain_faces(Lh)) == len(ref)
+def test_spectrum_filters_the_cached_list(twolift):
+    L = lifts_of_geodesic(twolift, Word((1,)), 3)
+    full, _ = L.spectrum
+    assert L.spectrum[0] is full
+    entries, _ = ortho_spectrum(L, cutoff=2.0)
+    assert entries == [e for e in full if e.distance.d <= 2.0]
+    assert tube_radius(L).witness == full[0]
