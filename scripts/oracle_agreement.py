@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the exact arrangement decision against the raster flood-fill oracle.
+"""Compare the exact separation test against the raster flood-fill oracle.
 
 Samples random 3-circle instances on the sphere (rejection-sampled so every
 tangency gap and point-circle distance clears a margin), runs both deciders,
@@ -10,12 +10,11 @@ enough data to reproduce.
 import argparse
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from hyptube.insulator import NearTangencyWarning, triple_separates
+from hyptube.insulator import separates_union
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import random_circle_instance  # noqa: E402
@@ -35,10 +34,9 @@ def main() -> int:
     t0 = time.perf_counter()
     for k in range(args.instances):
         circles, p, q = random_circle_instance(rng, margin=args.margin)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", NearTangencyWarning)
-            exact = triple_separates(*circles, p, q)
-        if any(issubclass(w.category, NearTangencyWarning) for w in caught):
+        res = separates_union(circles, p, q)
+        exact = res.separated
+        if res.near_tangency:
             excluded += 1
             continue
         raster = flood_fill_oracle(

@@ -38,7 +38,6 @@ from .lifts import (
 )
 from .insulator import (
     InsulatorFamily,
-    NearTangencyWarning,
     Verdict,
     build_family,
     noncoalesceable,

@@ -20,7 +20,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bounds, insulator, lifts
 from .hcore import Isometry, classify, complex_length, visual_angle
@@ -70,12 +70,11 @@ def _render_entry(v: complex) -> str:
 
 @dataclass
 class GroupFile:
-    """Parsed presentation plus named geodesic words and optional metadata."""
+    """Parsed presentation plus named geodesic words and an optional name."""
 
     presentation: lifts.GroupPresentation
     geodesics: dict  # name -> word string
     name: str = ""
-    comments: list = field(default_factory=list)
 
     def word(self, geodesic_name: str) -> lifts.Word:
         if geodesic_name not in self.geodesics:
@@ -86,7 +85,6 @@ class GroupFile:
 def parse_group_file(text: str) -> GroupFile:
     """Parse the group file grammar; see the module docstring."""
     name = ""
-    comments = []
     gen_names = []
     gen_rows = []  # list of entry lists, 4 per generator
     geodesics = {}
@@ -111,8 +109,6 @@ def parse_group_file(text: str) -> GroupFile:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].strip()
-        if "%" in raw:
-            comments.append((lineno, raw.split("%", 1)[1].rstrip()))
         if not line:
             continue
         tokens = line.split()
@@ -154,11 +150,12 @@ def parse_group_file(text: str) -> GroupFile:
                 raise UnknownGenerator(
                     f"geodesic {gname!r} uses undeclared generator {ch!r}"
                 )
-    return GroupFile(presentation, geodesics, name, comments)
+    return GroupFile(presentation, geodesics, name)
 
 
 def render_group_file(gf: GroupFile) -> str:
-    """Inverse of parse_group_file, up to comments: parse(render(x)) == x."""
+    """Inverse of parse_group_file: parse(render(x)) == x.  Comments in the
+    source file are not kept."""
     out = []
     if gf.name:
         out.append(f"name {gf.name}")

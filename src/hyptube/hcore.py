@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 TOL = 1e-9
 
@@ -51,29 +50,27 @@ class Isometry:
     """Orientation-preserving isometry of H^3 as a determinant-1 matrix.
 
     Equality of isometries is up to a global sign of all four entries; use
-    :meth:`close_to`.  ``word`` optionally records the generator word that
-    produced the element.
+    :meth:`close_to`.
     """
 
     a: complex
     b: complex
     c: complex
     d: complex
-    word: Optional[str] = field(default=None, compare=False)
 
     @staticmethod
-    def from_matrix(a, b, c, d, word=None) -> "Isometry":
+    def from_matrix(a, b, c, d) -> "Isometry":
         """Normalize det to 1, dividing by the root with Re >= 0 (Im > 0 on ties)."""
         a, b, c, d = _cx(a), _cx(b), _cx(c), _cx(d)
         det = a * d - b * c
         if abs(det) < 1e-14:
             raise ValueError("singular matrix is not an isometry")
         s = cmath.sqrt(det)  # principal root: Re >= 0, Im > 0 when Re == 0
-        return Isometry(a / s, b / s, c / s, d / s, word)
+        return Isometry(a / s, b / s, c / s, d / s)
 
     @staticmethod
     def identity() -> "Isometry":
-        return Isometry(1.0 + 0j, 0j, 0j, 1.0 + 0j, "")
+        return Isometry(1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
     def trace(self) -> complex:
         return self.a + self.d

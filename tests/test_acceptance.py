@@ -7,7 +7,6 @@ from printing and fails the run.
 
 import math
 import time
-import warnings
 
 import cmath
 import numpy as np
@@ -35,9 +34,9 @@ from hyptube.hcore import (
 from hyptube.insulator import (
     FamilyMember,
     InsulatorFamily,
-    NearTangencyWarning,
     build_family,
     noncoalesceable,
+    separates_union,
     triple_separates,
 )
 from hyptube.lifts import Word, check_log3_tube, lifts_of_geodesic, tube_radius
@@ -122,10 +121,9 @@ def test_criterion_4_arrangement_vs_oracle(capsys):
     total = 500
     for k in range(total):
         circles, p, q = random_circle_instance(rng)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", NearTangencyWarning)
-            exact = triple_separates(*circles, p, q)
-        if any(issubclass(w.category, NearTangencyWarning) for w in caught):
+        res = separates_union(circles, p, q)
+        exact = res.separated
+        if res.near_tangency:
             excluded += 1
             continue
         raster = flood_fill_oracle(circles, p, q, resolution=512, seed=k)
@@ -140,7 +138,7 @@ def test_criterion_4_arrangement_vs_oracle(capsys):
     assert dt < 60.0
     _report(
         capsys,
-        f"[criterion 4] arrangement vs flood-fill oracle (res 512, fixed seed): "
+        f"[criterion 4] separation test vs flood-fill oracle (res 512, fixed seed): "
         f"{agree}/{total - excluded} agree ({excluded} near-tangent excluded), "
         f"chain 0.9 true / 0.8 false, in {dt:.1f}s: PASS",
     )
@@ -190,9 +188,7 @@ def test_criterion_6_shortcut_soundness(capsys):
         F = _random_above_threshold_family(rng, int(rng.integers(5, 9)))
         fast = noncoalesceable(F)
         assert fast.kind == "noncoalesceable" and fast.basis == "tube-shortcut"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NearTangencyWarning)
-            slow = noncoalesceable(F, force_exhaustive=True)
+        slow = noncoalesceable(F, force_exhaustive=True)
         assert slow.kind == "noncoalesceable"
         assert slow.basis == "exhaustive-triples"
     dt = time.perf_counter() - t0
