@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hyptube.insulator import separates_union
+from hyptube.insulator import separating_triple
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import random_circle_instance  # noqa: E402
@@ -34,9 +34,9 @@ def main() -> int:
     t0 = time.perf_counter()
     for k in range(args.instances):
         circles, p, q = random_circle_instance(rng, margin=args.margin)
-        res = separates_union(circles, p, q)
-        exact = res.separated
-        if res.near_tangency:
+        res = separating_triple(circles, p, q)
+        exact = res.triple is not None
+        if res.flagged > 0:
             excluded += 1
             continue
         raster = flood_fill_oracle(

@@ -41,7 +41,7 @@ from .insulator import (
     Verdict,
     build_family,
     noncoalesceable,
-    triple_separates,
+    separating_triple,
 )
 from .bounds import (
     GM_LEN,

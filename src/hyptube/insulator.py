@@ -6,7 +6,8 @@ circle separates them by sign, it does.  Otherwise a rotation of the sphere
 sends p to infinity, each circle's side without p becomes a closed disc, and
 q is cut off exactly when the three discs meet pairwise and q lies strictly
 inside the triangle of their centres; the proof is in
-:func:`_three_discs_enclose`.
+:func:`_three_discs_enclose`.  :func:`separating_triple` asks this of every
+multiset of a family, testing and rotating each circle once per family.
 """
 
 from __future__ import annotations
@@ -78,23 +79,10 @@ def build_family(L: LiftSet, cutoff: float) -> InsulatorFamily:
 # separation by up to three circles
 
 
-@dataclass
-class SeparationResult:
-    separated: bool
-    near_tangency: bool = False  # the three-disc test read a pair tangent within tolerance
-
-
-def _dedup_circles(circles, tol=1e-9):
-    out = []
-    for c in circles:
-        if not any(c.close_to(o, tol) for o in out):
-            out.append(c)
-    return out
-
-
-def _three_discs_enclose(discs, z: complex) -> SeparationResult:
-    """Whether z lies in a bounded component of the plane minus three closed
-    discs (center, radius), z outside all of them.
+def _three_discs_enclose(discs, z: complex) -> tuple:
+    """(enclosed, near_tangency): whether z lies in a bounded component of
+    the plane minus three closed discs (center, radius), z outside all of
+    them, and whether some pair of discs is tangent within tolerance.
 
     The answer is yes iff every pair of discs meets and z is strictly inside
     the triangle of the three centres:
@@ -125,7 +113,7 @@ def _three_discs_enclose(discs, z: complex) -> SeparationResult:
         near = near or abs(gap) <= TANGENCY_TOL * max(ri, rj, d)
         meet = meet and gap <= 0.0
     if not meet:
-        return SeparationResult(False, near)
+        return False, near
     rho = min(abs(z - c) - r for c, r in discs)
     (c0, _), (c1, _), (c2, _) = discs
     sides = []
@@ -133,32 +121,33 @@ def _three_discs_enclose(discs, z: complex) -> SeparationResult:
         e = cj - ci
         s = (e.conjugate() * (z - ci)).imag  # |e| times the signed distance to the edge line
         if e == 0 or abs(s) < abs(e) * rho / 2.0:
-            return SeparationResult(False, near)
+            return False, near
         sides.append(s > 0.0)
-    return SeparationResult(all(sides) or not any(sides), near)
+    return all(sides) or not any(sides), near
 
 
-def separates_union(circles, p: IdealPoint, q: IdealPoint, tol: float = TOL) -> SeparationResult:
-    """Decide whether p and q lie in different components of the sphere minus
-    the union of the given circles (at most three).
+def separating_triple(
+    circles, p: IdealPoint, q: IdealPoint, budget: int = DEFAULT_BUDGET, tol: float = TOL
+) -> Verdict:
+    """Search the multisets of three of the circles, repetition allowed, in
+    ``combinations_with_replacement`` order, for the first whose union
+    separates p and q on the sphere; each multiset tested counts against the
+    budget.
 
-    A single circle that separates p and q by sign decides the question.
-    Otherwise p and q lie on the same side of every circle, and sending p to
-    infinity turns each circle's other side into a closed disc with q outside
-    it, so q's component is its component of the plane minus the discs.  The
-    complement of at most two discs is connected (see
-    :func:`_three_discs_enclose`), and three discs are decided there.
+    A circle that separates p and q by sign decides every multiset holding
+    it.  Otherwise p and q lie on the same side of every circle, and sending
+    p to infinity turns each circle's other side into a closed disc with q
+    outside it, so q's component is its component of the plane minus the
+    discs.  A multiset with a repeated index has at most two discs, whose
+    complement is connected (see :func:`_three_discs_enclose`), so only three
+    distinct indices are decided there.  Each circle is tested and rotated
+    once, however many multisets hold it.
     """
-    circles = _dedup_circles(list(circles))
-    if len(circles) > 3:
-        raise ValueError("at most three circles are supported")
+    circles = list(circles)
     for c in circles:
         if c.contains(p, tol) or c.contains(q, tol):
             raise PointOnCircle("query point lies on a circle")
-    if any(separates(c, p, q, tol) for c in circles):
-        return SeparationResult(True)
-    if len(circles) < 3:
-        return SeparationResult(False)
+    sign = [separates(c, p, q, tol) for c in circles]
     # unitary map with p -> oo, a rotation of the sphere
     chart = Isometry.from_matrix(p.z.conjugate(), p.w.conjugate(), -p.w, p.z)
     discs = []
@@ -166,12 +155,21 @@ def separates_union(circles, p: IdealPoint, q: IdealPoint, tol: float = TOL) -> 
         # A is the side value of p, so |A| > tol and the image is no line
         tc = c.transformed(chart)
         discs.append((-tc.B / tc.A, 1.0 / tc.A))
-    return _three_discs_enclose(discs, chart.apply(q).value)
-
-
-def triple_separates(c1, c2, c3, p: IdealPoint, q: IdealPoint, tol: float = TOL) -> bool:
-    """True iff p and q lie in different components of the sphere minus c1 u c2 u c3."""
-    return separates_union([c1, c2, c3], p, q, tol).separated
+    z = chart.apply(q).value
+    tested = 0
+    flagged = 0
+    for idx in combinations_with_replacement(range(len(circles)), 3):
+        if tested >= budget:
+            return Verdict("inconclusive", "budget-exhausted", tested=tested, flagged=flagged)
+        tested += 1
+        i, j, k = idx
+        separated = sign[i] or sign[j] or sign[k]
+        if not separated and i < j < k:
+            separated, near = _three_discs_enclose((discs[i], discs[j], discs[k]), z)
+            flagged += near
+        if separated:
+            return Verdict("coalescing", "exhaustive-triples", triple=idx, tested=tested, flagged=flagged)
+    return Verdict("noncoalesceable", "exhaustive-triples", tested=tested, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -187,33 +185,17 @@ class Verdict:
     flagged: int = 0  # triples whose decision read a near-tangent pair
 
 
-def noncoalesceable(
-    F: InsulatorFamily,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = TOL,
-    force_exhaustive: bool = False,
-) -> Verdict:
+def noncoalesceable(F: InsulatorFamily, budget: int = DEFAULT_BUDGET, tol: float = TOL) -> Verdict:
     """Decide whether no multiset of up to three family circles separates the
     base endpoints.
 
     Fast path: when every member's half-ortholength clears (log 3)/2, the
     visual-angle argument rules out any separating configuration.  Otherwise
     triples (with repetition, ascending ortholength) are tested exhaustively
-    within the budget.
+    within the budget by :func:`separating_triple`.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    shortcut = all(m.ortho.d / 2.0 > LOG3_HALF + tol for m in F.members)
-    if shortcut and not force_exhaustive:
+    if all(m.ortho.d / 2.0 > LOG3_HALF + tol for m in F.members):
         return Verdict("noncoalesceable", "tube-shortcut")
-    tested = 0
-    flagged = 0
-    for idx in combinations_with_replacement(range(len(F.members)), 3):
-        if tested >= budget:
-            return Verdict("inconclusive", "budget-exhausted", tested=tested, flagged=flagged)
-        tested += 1
-        res = separates_union([F.members[i].circle for i in idx], F.p_plus, F.p_minus, tol)
-        flagged += res.near_tangency
-        if res.separated:
-            return Verdict("coalescing", "exhaustive-triples", triple=idx, tested=tested, flagged=flagged)
-    return Verdict("noncoalesceable", "exhaustive-triples", tested=tested, flagged=flagged)
+    return separating_triple([m.circle for m in F.members], F.p_plus, F.p_minus, budget, tol)

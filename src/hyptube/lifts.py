@@ -90,12 +90,6 @@ class GroupPresentation:
             if not (len(nm) == 1 and nm.islower() and nm.isalpha()):
                 raise ValueError(f"bad generator name {nm!r}")
 
-    @staticmethod
-    def from_pairs(pairs) -> "GroupPresentation":
-        names = tuple(nm for nm, _ in pairs)
-        gens = tuple(g for _, g in pairs)
-        return GroupPresentation(names, gens)
-
     def parse_word(self, text: str) -> Word:
         letters = []
         lower = {nm: i + 1 for i, nm in enumerate(self.names)}
@@ -211,7 +205,6 @@ def enumerate_elements(G: GroupPresentation, maxlen: int) -> ElementBall:
 class Lift:
     geodesic: Geodesic
     word: Word
-    wordlen: int
 
 
 @dataclass
@@ -219,8 +212,6 @@ class LiftSet:
     """Distinct lifts {g . base} of a closed geodesic, within a word-length horizon."""
 
     base: Geodesic
-    core: Isometry
-    deltaword: Word
     lifts: list  # of Lift; lifts[0] is the base with the empty word
     horizon: int
     displacement: Optional[float] = None  # min d(x0, g x0) over frontier words
@@ -274,7 +265,7 @@ def lifts_of_geodesic(G: GroupPresentation, deltaword: Word, maxlen: int) -> Lif
     ball = enumerate_elements(G, maxlen)
     dedup = _Deduper()
     dedup.add(_endpoint_rows(base)[0])
-    lifts = [Lift(base, Word(), 0)]
+    lifts = [Lift(base, Word())]
     for g, w in ball.elements:
         if len(w) == 0:
             continue
@@ -282,11 +273,9 @@ def lifts_of_geodesic(G: GroupPresentation, deltaword: Word, maxlen: int) -> Lif
         v, alt = _endpoint_rows(geo)
         if dedup.find(v, alt) is None:
             dedup.add(v)
-            lifts.append(Lift(geo, w, len(w)))
+            lifts.append(Lift(geo, w))
     ls = LiftSet(
         base=base,
-        core=core,
-        deltaword=deltaword,
         lifts=lifts,
         horizon=maxlen,
         relations=ball.relations,

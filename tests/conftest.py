@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from hyptube.hcore import Geodesic, Isometry, classify
+from hyptube.insulator import separating_triple
 from hyptube.lifts import GroupPresentation
+
+
+def separated(circles, p, q) -> bool:
+    """True iff some multiset of up to three of the circles separates p and q."""
+    return separating_triple(circles, p, q).triple is not None
 
 
 def random_isometry(rng) -> Isometry:

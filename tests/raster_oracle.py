@@ -1,6 +1,6 @@
 """Raster flood-fill oracle for the separation decision, used by the tests
 and by scripts/oracle_agreement.py as an independent check of
-hyptube.insulator.triple_separates."""
+hyptube.insulator.separating_triple."""
 
 import math
 
@@ -26,7 +26,7 @@ def flood_fill_oracle(
     connected regions of a spherical grid with circle guard bands removed.
 
     The grid is randomly rotated from the seed to decorrelate alignment
-    artifacts.  Intended as an independent test oracle for triple_separates.
+    artifacts.  Intended as an independent test oracle for separating_triple.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")

@@ -18,6 +18,7 @@ from conftest import (
     random_coplanar_pair,
     random_disjoint_pair,
     random_isometry,
+    separated,
     twolift_presentation,
 )
 from hyptube.bounds import LOG3_HALF, long_geodesic_guarantee, short_geodesic_guarantee
@@ -36,8 +37,7 @@ from hyptube.insulator import (
     InsulatorFamily,
     build_family,
     noncoalesceable,
-    separates_union,
-    triple_separates,
+    separating_triple,
 )
 from hyptube.lifts import Word, check_log3_tube, lifts_of_geodesic, tube_radius
 from raster_oracle import flood_fill_oracle
@@ -121,9 +121,9 @@ def test_criterion_4_arrangement_vs_oracle(capsys):
     total = 500
     for k in range(total):
         circles, p, q = random_circle_instance(rng)
-        res = separates_union(circles, p, q)
-        exact = res.separated
-        if res.near_tangency:
+        res = separating_triple(circles, p, q)
+        exact = res.triple is not None
+        if res.flagged > 0:
             excluded += 1
             continue
         raster = flood_fill_oracle(circles, p, q, resolution=512, seed=k)
@@ -132,8 +132,8 @@ def test_criterion_4_arrangement_vs_oracle(capsys):
     roots = [cmath.exp(2j * math.pi * j / 3) for j in range(3)]
     chain9 = [CircleOnSphere.circle(r, 0.9) for r in roots]
     chain8 = [CircleOnSphere.circle(r, 0.8) for r in roots]
-    assert triple_separates(*chain9, ideal(0), ideal("inf"))
-    assert not triple_separates(*chain8, ideal(0), ideal("inf"))
+    assert separated(chain9, ideal(0), ideal("inf"))
+    assert not separated(chain8, ideal(0), ideal("inf"))
     dt = time.perf_counter() - t0
     assert dt < 60.0
     _report(
@@ -188,7 +188,7 @@ def test_criterion_6_shortcut_soundness(capsys):
         F = _random_above_threshold_family(rng, int(rng.integers(5, 9)))
         fast = noncoalesceable(F)
         assert fast.kind == "noncoalesceable" and fast.basis == "tube-shortcut"
-        slow = noncoalesceable(F, force_exhaustive=True)
+        slow = separating_triple([m.circle for m in F.members], F.p_plus, F.p_minus)
         assert slow.kind == "noncoalesceable"
         assert slow.basis == "exhaustive-triples"
     dt = time.perf_counter() - t0

@@ -2,11 +2,12 @@
 
 import cmath
 import math
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
-from conftest import random_circle_instance, random_isometry
+from conftest import random_circle_instance, random_isometry, separated
 from hyptube.bounds import LOG3_HALF
 from hyptube.cli import parse_group_file
 from hyptube.hcore import (
@@ -22,8 +23,7 @@ from hyptube.insulator import (
     InsulatorFamily,
     build_family,
     noncoalesceable,
-    separates_union,
-    triple_separates,
+    separating_triple,
 )
 from hyptube.lifts import Word, lifts_of_geodesic
 from raster_oracle import GuardBandSwallowedPoint, flood_fill_oracle
@@ -108,7 +108,7 @@ def test_build_family_equivariance(twolift, rng):
 
 def test_triple_same_unit_circle():
     u = CircleOnSphere.circle(0, 1)
-    assert triple_separates(u, u, u, ideal(0), ideal("inf"))
+    assert separated([u, u, u], ideal(0), ideal("inf"))
 
 
 @pytest.mark.parametrize(
@@ -123,7 +123,7 @@ def test_triple_same_unit_circle():
 )
 def test_triple_separates_known(discs, p, q, expected):
     c = [CircleOnSphere.circle(*d) for d in discs]
-    assert triple_separates(*c, ideal(p), ideal(q)) == expected
+    assert separated(c, ideal(p), ideal(q)) == expected
     assert flood_fill_oracle(c, ideal(p), ideal(q)) == expected
 
 
@@ -135,57 +135,67 @@ def test_triple_near_collinear_centres():
     for k in range(3000):
         u = cmath.exp(2j * math.pi * k / 3000)
         c = [CircleOnSphere.circle(base + t * u, r) for t, r in ((0, 0.6), (1, 0.6), (2, 1.5))]
-        assert not triple_separates(*c, ideal("inf"), ideal(base + 3.6 * u)), k
+        assert not separated(c, ideal("inf"), ideal(base + 3.6 * u)), k
 
 
 def test_triple_point_on_circle():
     u = CircleOnSphere.circle(0, 1)
     with pytest.raises(PointOnCircle):
-        triple_separates(u, u, u, ideal(1), ideal("inf"))
+        separated([u, u, u], ideal(1), ideal("inf"))
 
 
 def test_separates_union_no_circles():
-    assert not separates_union([], ideal(0), ideal(1)).separated
+    assert separating_triple([], ideal(0), ideal(1)).triple is None
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-12])
+def test_repeated_circle_at_distinct_indices_does_not_separate(shift):
+    # two copies of one chain circle and a second one: at most two distinct
+    # discs, whose complement is connected, although the full chain separates
+    c0, c1 = (CircleOnSphere.circle(r, 0.9) for r in ROOTS[:2])
+    copy = CircleOnSphere.circle(ROOTS[0] + shift, 0.9)
+    assert not separated([c0, copy, c1], ideal(0), ideal("inf"))
 
 
 def test_near_tangency_flagged():
     tangent_chain = [CircleOnSphere.circle(r, math.sqrt(3) / 2) for r in ROOTS]
-    assert separates_union(tangent_chain, ideal("inf"), ideal(0)).near_tangency
+    # only the multiset of three distinct circles reads the discs
+    assert separating_triple(tangent_chain, ideal("inf"), ideal(0)).flagged == 1
 
 
 def test_twolift_horizon8_near_tangent_triple_is_decided():
     gf = parse_group_file((GROUPS / "twolift.grp").read_text())
     F = build_family(lifts_of_geodesic(gf.presentation, gf.word("delta"), 8), 4.0)
-    res = separates_union([F.members[i].circle for i in (0, 53, 56)], F.p_plus, F.p_minus)
-    assert res.near_tangency
+    res = separating_triple([F.members[i].circle for i in (0, 53, 56)], F.p_plus, F.p_minus)
+    assert res.flagged > 0
 
 
 def test_mobius_invariance(rng):
     for _ in range(50):
         circles, p, q = random_circle_instance(rng)
-        ref = triple_separates(*circles, p, q)
+        ref = separated(circles, p, q)
         h = random_isometry(rng)
         moved = [c.transformed(h) for c in circles]
-        assert triple_separates(*moved, h.apply(p), h.apply(q)) == ref
+        assert separated(moved, h.apply(p), h.apply(q)) == ref
 
 
 def test_submultiset_monotonicity(rng):
     for _ in range(50):
         circles, p, q = random_circle_instance(rng)
-        full = triple_separates(*circles, p, q)
+        full = separated(circles, p, q)
         if not full:
             # no sub-multiset may separate either
             for i in range(3):
-                assert not separates_union([circles[i]], p, q).separated
+                assert not separated([circles[i]], p, q)
             for i in range(3):
                 for j in range(i + 1, 3):
-                    assert not separates_union([circles[i], circles[j]], p, q).separated
+                    assert not separated([circles[i], circles[j]], p, q)
 
 
 def test_oracle_agreement_sample(rng):
     for k in range(100):
         circles, p, q = random_circle_instance(rng)
-        exact = triple_separates(*circles, p, q)
+        exact = separated(circles, p, q)
         raster = flood_fill_oracle(circles, p, q, resolution=256, seed=k)
         assert exact == raster
 
@@ -202,10 +212,31 @@ def test_shortcut_fires(twolift):
     assert v.kind == "noncoalesceable" and v.basis == "tube-shortcut"
 
 
+def _per_multiset_search(F, budget):
+    """(kind, triple, tested) from one separation call per multiset."""
+    tested = 0
+    for idx in combinations_with_replacement(range(len(F)), 3):
+        if tested >= budget:
+            return "inconclusive", None, tested
+        tested += 1
+        if separated([F.members[i].circle for i in idx], F.p_plus, F.p_minus):
+            return "coalescing", idx, tested
+    return "noncoalesceable", None, tested
+
+
+@pytest.mark.parametrize("budget", [50_000, 7, 1])
+def test_family_search_matches_per_multiset_calls(budget):
+    gf = parse_group_file((GROUPS / "shorttube.grp").read_text())
+    F = build_family(lifts_of_geodesic(gf.presentation, gf.word("delta"), 5), 4.0)
+    v = noncoalesceable(F, budget)
+    assert v.basis != "tube-shortcut"
+    assert (v.kind, v.triple, v.tested) == _per_multiset_search(F, budget)
+
+
 def test_shortcut_agrees_with_exhaustive(twolift):
     L = lifts_of_geodesic(twolift, Word((1,)), 2)
     F = build_family(L, cutoff=4.0)
-    v = noncoalesceable(F, force_exhaustive=True)
+    v = separating_triple([m.circle for m in F.members], F.p_plus, F.p_minus)
     assert v.kind == "noncoalesceable" and v.basis == "exhaustive-triples"
     assert v.tested > 0
 
@@ -217,7 +248,7 @@ def test_coalescing_chain_family():
     # the reported triple really separates
     F = chain_family(0.9)
     cs = [F.members[i].circle for i in v.triple]
-    assert triple_separates(*cs, F.p_plus, F.p_minus)
+    assert separated(cs, F.p_plus, F.p_minus)
 
 
 def test_no_coalescing_sparse_chain():
@@ -246,6 +277,13 @@ def test_single_separating_circle_reported_as_repeated_triple():
     F = InsulatorFamily(ideal(0), ideal("inf"), members)
     v = noncoalesceable(F)
     assert v.kind == "coalescing" and v.triple == (0, 0, 0)
+
+
+def test_sign_separating_circle_in_last_slot():
+    # the unit circle separates 0 from oo by sign; the circle about 5 does not
+    circles = [CircleOnSphere.circle(5, 1), CircleOnSphere.circle(0, 1)]
+    v = separating_triple(circles, ideal(0), ideal("inf"))
+    assert v.triple == (0, 0, 1) and v.tested == 2
 
 
 def test_visual_angle_consistency(twolift):

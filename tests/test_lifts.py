@@ -270,12 +270,9 @@ def synthetic_liftset(d: float) -> LiftSet:
     b = math.cosh(d) + 1.0  # (a+b)/(b-a) = cosh d
     base = Geodesic.through(0.0, math.inf)
     other = Geodesic(ideal(a), ideal(b))
-    core = Isometry.from_matrix(SQRT3, 0, 0, 1 / SQRT3)
     return LiftSet(
         base=base,
-        core=core,
-        deltaword=Word((1,)),
-        lifts=[Lift(base, Word(), 0), Lift(other, Word((2,)), 1)],
+        lifts=[Lift(base, Word()), Lift(other, Word((2,)))],
         horizon=2,
     )
 
