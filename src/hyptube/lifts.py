@@ -1,7 +1,9 @@
 """Group-element enumeration and lifts of a chosen closed geodesic.
 
-Enumeration is breadth-first over freely reduced words with matrix
-deduplication (up to sign); no geometric pruning is assumed valid.  The tube
+Enumeration is breadth-first over freely reduced words.  Matrices (up to
+sign) and lifts (up to the order of their endpoints) are deduplicated by
+``_Deduper``, a hash grid on their entries whose cost per lookup does not grow
+with the ball; no geometric pruning is assumed valid.  The tube
 radius computed from lifts within a word-length horizon is an upper bound on
 the true tube radius, so every result carries its horizon, and a displacement
 diagnostic over the frontier words is reported so callers can judge horizon
@@ -10,11 +12,11 @@ adequacy.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
-
-import numpy as np
 
 from .hcore import (
     TOL,
@@ -117,30 +119,79 @@ class GroupPresentation:
 
 
 class _Deduper:
-    """Vectorized matching of a row, or its one alternate form, against the
-    rows added so far: a matrix up to global sign, a geodesic up to the order
-    of its endpoints."""
+    """Matching of a row, or its one alternate form, against the rows added so
+    far: a matrix up to global sign, a geodesic up to the order of its
+    endpoints.
+
+    A row is a tuple of numbers, complex or real.  Two rows match when the
+    largest entrywise ``abs`` difference is at most ``tol``.  Rows are hashed
+    by every real coordinate quantised to a cell of side ``_CELL``; the grid is
+    offset by half a cell, so exact zeros and small integers sit at cell
+    centres.  A lookup probes the home cell of each form and, in every
+    coordinate within ``2 * tol`` of a cell edge, the neighbouring cell too:
+    the probed cells hold every row within ``tol``.  Among the matching
+    candidates it returns the one with the smallest (distance, index), as a
+    scan over all rows would.  Requires ``2 * tol`` well below ``_CELL``.
+    """
+
+    _CELL = 2.0**-16
 
     def __init__(self, tol: float = DEDUP_TOL):
         self.tol = tol
         self._rows = []
-        self._arr = None
+        self._cells = {}
+
+    @staticmethod
+    def _coords(row):
+        out = []
+        for x in row:
+            if isinstance(x, complex):
+                out.append(x.real)
+                out.append(x.imag)
+            else:
+                out.append(x)
+        return out
+
+    def _keys(self, row):
+        """The home cell of row, and every cell a row within tol may lie in."""
+        options = []
+        edge = 2.0 * self.tol / self._CELL
+        for x in self._coords(row):
+            # t is off by under 2**-53 cells for |x| < 2**36; beyond that,
+            # distinct floats lie more than tol apart and share no match.
+            t = x / self._CELL + 0.5
+            k = math.floor(t)
+            f = t - k
+            if f < edge:
+                options.append((k, k - 1))
+            elif f > 1.0 - edge:
+                options.append((k, k + 1))
+            else:
+                options.append((k,))
+        return itertools.product(*options)
 
     def find(self, row, alt) -> Optional[int]:
-        if not self._rows:
-            return None
-        if self._arr is None or self._arr.shape[0] != len(self._rows):
-            self._arr = np.array(self._rows)
-        d1 = np.abs(self._arr - row).max(axis=1)
-        d2 = np.abs(self._arr - alt).max(axis=1)
-        d = np.minimum(d1, d2)
-        j = int(d.argmin())
-        return j if d[j] <= self.tol else None
+        candidates = set()
+        for form in (row, alt):
+            for key in self._keys(form):
+                candidates.update(self._cells.get(key, ()))
+        best = None
+        for j in candidates:
+            other = self._rows[j]
+            d = min(
+                max(abs(x - y) for x, y in zip(other, row)),
+                max(abs(x - y) for x, y in zip(other, alt)),
+            )
+            if d <= self.tol and (best is None or (d, j) < best):
+                best = (d, j)
+        return None if best is None else best[1]
 
     def add(self, row) -> int:
+        j = len(self._rows)
         self._rows.append(row)
-        self._arr = None
-        return len(self._rows) - 1
+        key = next(iter(self._keys(row)))
+        self._cells.setdefault(key, []).append(j)
+        return j
 
 
 @dataclass
@@ -169,7 +220,7 @@ def enumerate_elements(G: GroupPresentation, maxlen: int) -> ElementBall:
         raise ValueError("maxlen must be nonnegative")
     dedup = _Deduper()
     ball = ElementBall(elements=[(Isometry.identity(), Word())])
-    dedup.add(np.array(Isometry.identity().entries()))
+    dedup.add(Isometry.identity().entries())
     ngen = len(G.generators)
     frontier = [(Isometry.identity(), Word())]
     for _ in range(maxlen):
@@ -185,8 +236,8 @@ def enumerate_elements(G: GroupPresentation, maxlen: int) -> ElementBall:
                     ball.warnings.append(
                         f"entries of word {w2.to_string(G.names)} exceed 1e12"
                     )
-                m = np.array(g2.entries())
-                j = dedup.find(m, -m)
+                m = g2.entries()
+                j = dedup.find(m, tuple(-e for e in m))
                 if j is not None:
                     if j == 0 and len(w2) > 0:
                         ball.relations.append(w2)
@@ -246,7 +297,7 @@ class LiftSet:
 def _endpoint_rows(g: Geodesic):
     """Both orders of the endpoints of g, as points on the unit sphere."""
     p, q = (e.sphere_point() for e in g.endpoints)
-    return np.array(p + q), np.array(q + p)
+    return p + q, q + p
 
 
 def lifts_of_geodesic(G: GroupPresentation, deltaword: Word, maxlen: int) -> LiftSet:

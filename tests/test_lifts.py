@@ -1,19 +1,25 @@
 """Enumeration, lift sets, ortholength spectrum, tube radius."""
 
+import cmath
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import random_isometry, twolift_presentation
+from dedup_oracle import ScanDeduper
+from hyptube import lifts
 from hyptube.bounds import LOG3_HALF
 from hyptube.cli import parse_group_file
 from hyptube.hcore import TOL, Geodesic, Isometry, NotLoxodromic, ideal, orthodistance
 from hyptube.lifts import (
+    DEDUP_TOL,
     GroupPresentation,
     Lift,
     LiftSet,
     Word,
+    _Deduper,
     check_log3_tube,
     enumerate_elements,
     lifts_of_geodesic,
@@ -22,7 +28,8 @@ from hyptube.lifts import (
     tube_radius,
 )
 
-CORPUS = sorted((Path(__file__).resolve().parents[1] / "groups").glob("*.grp"))
+GROUPS = Path(__file__).resolve().parents[1] / "groups"
+CORPUS = sorted(GROUPS.glob("*.grp"))
 SQRT3 = math.sqrt(3.0)
 ACOSH2 = math.acosh(2.0)
 
@@ -313,3 +320,120 @@ def test_spectrum_filters_the_cached_list(twolift):
     entries, _ = ortho_spectrum(L, cutoff=2.0)
     assert entries == [e for e in full if e.distance.d <= 2.0]
     assert tube_radius(L).witness == full[0]
+
+
+# ---------------------------------------------------------------------------
+# hash-grid deduplication against the scan oracle
+
+CELL = _Deduper._CELL
+
+
+def _coordinate(rng):
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return float(rng.normal())
+    if kind == 1:
+        return float(rng.integers(-2, 3))  # exact zeros and small integers
+    # near a cell edge, where x / CELL + 0.5 is an integer
+    return (int(rng.integers(-40, 40)) - 0.5) * CELL + float(rng.uniform(-DEDUP_TOL, DEDUP_TOL))
+
+
+def _fresh_row(rng, kind):
+    if kind == "complex":
+        return tuple(complex(_coordinate(rng), _coordinate(rng)) for _ in range(4))
+    return tuple(_coordinate(rng) for _ in range(6))
+
+
+def _alt(row, kind):
+    return tuple(-x for x in row) if kind == "complex" else row[3:] + row[:3]
+
+
+def _moved(rng, row):
+    """row with every entry moved by the same step: 0, tol (1 -/+ 1e-6) or
+    up to 2 tol, along an axis or in a random direction."""
+    step = DEDUP_TOL * float(rng.choice([0.0, 1 - 1e-6, 1 + 1e-6, rng.uniform(0, 2)]))
+    out = []
+    for x in row:
+        if isinstance(x, complex):
+            turn = rng.choice([0.0, 0.25, 0.5, 0.75, rng.uniform(0, 1)])
+            out.append(x + step * cmath.exp(2j * math.pi * turn))
+        else:
+            out.append(x + step * float(rng.choice([-1.0, 1.0])))
+    return tuple(out)
+
+
+def _home(row):
+    coords = []
+    for x in row:
+        coords += [x.real, x.imag] if isinstance(x, complex) else [x]
+    return tuple(math.floor(c / CELL + 0.5) for c in coords)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_deduper_matches_scan_oracle(kind, seed):
+    rng = np.random.default_rng([seed, len(kind)])
+    grid, scan = _Deduper(), ScanDeduper()
+    stored = []
+    seen = dict.fromkeys(["hit", "miss", "alt-only", "several", "straddle", "near-tol"], 0)
+    for _ in range(1200):
+        op = int(rng.integers(4))
+        if op == 0 or not stored:
+            row = _fresh_row(rng, kind)
+        else:
+            row = _moved(rng, stored[int(rng.integers(len(stored)))])
+            if op == 1:
+                row = _alt(row, kind)
+        alt = _alt(row, kind)
+        want = scan.find(row, alt)
+        assert grid.find(row, alt) == want
+        if stored:
+            arr = np.array(stored)
+            d1 = np.abs(arr - np.array(row)).max(axis=1)
+            d2 = np.abs(arr - np.array(alt)).max(axis=1)
+            d = np.minimum(d1, d2)
+            seen["near-tol"] += bool((np.abs(d / DEDUP_TOL - 1) < 1e-5).any())
+            if want is not None:
+                seen["alt-only"] += bool(d1.min() > DEDUP_TOL)
+                seen["several"] += int((d <= DEDUP_TOL).sum() > 1)
+                seen["straddle"] += _home(stored[want]) not in (_home(row), _home(alt))
+        seen["miss" if want is None else "hit"] += 1
+        if want is None or op == 3:  # op 3 stores near-duplicates, even exact ones
+            assert grid.add(row) == scan.add(row) == len(stored)
+            stored.append(row)
+    assert min(seen.values()) > 0, seen
+
+
+def figure_eight_presentation() -> GroupPresentation:
+    """The figure-eight knot group in Riley's parabolic representation."""
+    omega = cmath.exp(2j * math.pi / 3)
+    return GroupPresentation(
+        ("x", "y"),
+        (Isometry.from_matrix(1, 1, 0, 1), Isometry.from_matrix(1, 0, -omega, 1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "maxlen,count", [(1, 5), (2, 17), (3, 53), (4, 161), (5, 475), (6, 1375), (7, 3955)]
+)
+def test_figure_eight_ball_matches_scan_oracle(maxlen, count, monkeypatch):
+    # free-group counts up to horizon 4; relations collapse the ball from 5 on
+    G = figure_eight_presentation()
+    ball = enumerate_elements(G, maxlen)
+    monkeypatch.setattr(lifts, "_Deduper", ScanDeduper)
+    ref = enumerate_elements(G, maxlen)
+    assert len(ball) == count
+    assert [(g.entries(), w) for g, w in ball] == [(g.entries(), w) for g, w in ref]
+    assert ball.relations == ref.relations
+    assert ball.warnings == ref.warnings
+
+
+@pytest.mark.parametrize("name", ["shorttube", "twolift"])
+def test_ball_and_lifts_at_depth(name, monkeypatch):
+    gf = parse_group_file((GROUPS / f"{name}.grp").read_text())
+    G, delta = gf.presentation, gf.word("delta")
+    assert len(enumerate_elements(G, 10)) == 3070
+    assert len(lifts_of_geodesic(G, delta, 10).lifts) == 1024
+    words = [lift.word for lift in lifts_of_geodesic(G, delta, 8).lifts]
+    monkeypatch.setattr(lifts, "_Deduper", ScanDeduper)
+    assert words == [lift.word for lift in lifts_of_geodesic(G, delta, 8).lifts]
