@@ -2,7 +2,8 @@
 """Compare the exact separation test against the raster flood-fill oracle.
 
 Samples random 3-circle instances on the sphere (rejection-sampled so every
-tangency gap and point-circle distance clears a margin), runs both deciders,
+tangency gap and point-circle distance clears a margin), decides each one on
+its discs in the chart with p at infinity and q at 0 and with the raster,
 and reports the agreement rate plus timing.  Disagreements are printed with
 enough data to reproduce.
 """
@@ -17,8 +18,9 @@ import numpy as np
 from hyptube.insulator import separating_triple
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from conftest import random_circle_instance  # noqa: E402
+from conftest import random_circle_instance, to_discs  # noqa: E402
 from raster_oracle import flood_fill_oracle  # noqa: E402
+from sphere import to_sphere_plane  # noqa: E402
 
 
 def main() -> int:
@@ -34,7 +36,7 @@ def main() -> int:
     t0 = time.perf_counter()
     for k in range(args.instances):
         circles, p, q = random_circle_instance(rng, margin=args.margin)
-        res = separating_triple(circles, p, q)
+        res = separating_triple(to_discs(circles, p, q))
         exact = res.triple is not None
         if res.flagged > 0:
             excluded += 1
@@ -46,7 +48,7 @@ def main() -> int:
             agree += 1
         else:
             disagree += 1
-            planes = [c.to_sphere_plane() for c in circles]
+            planes = [to_sphere_plane(c) for c in circles]
             print(f"DISAGREE at instance {k}: exact={exact} raster={raster}")
             print(f"  planes: {planes}")
             print(f"  p={p} q={q}")

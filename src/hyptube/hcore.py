@@ -6,10 +6,11 @@ extension.  All boundary computations run in projective coordinates; affine
 values are produced only at the output boundary, so vertical lines and the
 point at infinity need no special cases.
 
-Twist-angle convention: geodesics are unordered pairs of ideal points, which
-makes the twist of a complex distance well defined only up to adding pi.  We
-normalize twists to (-pi/2, pi/2]; only real parts feed any decision made
-elsewhere in the package.
+Twist-angle convention: :class:`ComplexDistance` normalizes twists to
+(-pi, pi].  Geodesics are unordered pairs of ideal points, which makes the
+twist between two of them well defined only up to adding pi, so
+:func:`orthodistance` returns the representative in (-pi/2, pi/2]; only real
+parts feed any decision made elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class Isometry:
         return self.close_to(Isometry.identity(), tol)
 
     def apply(self, p: "IdealPoint") -> "IdealPoint":
-        return mobius_apply(self, p)
+        """(z : w) -> (az + bw : cz + dw); projective, no division anywhere."""
+        return IdealPoint(self.a * p.z + self.b * p.w, self.c * p.z + self.d * p.w)
 
     def apply_h(self, x: "HPoint") -> "HPoint":
         """Poincare extension to upper half-space (valid for det = 1)."""
@@ -115,7 +117,7 @@ class Isometry:
 
     def apply_geodesic(self, g: "Geodesic") -> "Geodesic":
         p, q = g.endpoints
-        return Geodesic(mobius_apply(self, p), mobius_apply(self, q))
+        return Geodesic(self.apply(p), self.apply(q))
 
 
 @dataclass(frozen=True)
@@ -139,14 +141,6 @@ class IdealPoint:
     @staticmethod
     def infinity() -> "IdealPoint":
         return IdealPoint(1.0 + 0j, 0j)
-
-    @staticmethod
-    def from_sphere_point(u) -> "IdealPoint":
-        """Inverse stereographic: unit vector (x, y, z) -> (x + iy : 1 - z)."""
-        x, y, zc = float(u[0]), float(u[1]), float(u[2])
-        if zc > 1.0 - 1e-15:
-            return IdealPoint.infinity()
-        return IdealPoint(complex(x, y), complex(1.0 - zc, 0.0))
 
     @property
     def is_infinity(self) -> bool:
@@ -219,11 +213,6 @@ class Geodesic:
 
     def shares_endpoint(self, other: "Geodesic", tol: float = TOL) -> bool:
         return any(p.close_to(q, tol) for p in self.endpoints for q in other.endpoints)
-
-    def point_at(self, s: float) -> "HPoint":
-        """Arclength-parametrized point; s = 0 is the point above/nearest 0 in the chart."""
-        t = _send_to_zero_infinity(self)
-        return t.inverse().apply_h(HPoint(0j, math.exp(s)))
 
 
 @dataclass(frozen=True)
@@ -305,22 +294,6 @@ class CircleOnSphere:
             raise ValueError("radius must be positive")
         return CircleOnSphere(1.0, -center, abs(center) ** 2 - radius**2)
 
-    @staticmethod
-    def line(normal, offset) -> "CircleOnSphere":
-        """The line {z : Re(conj(normal) z) = offset}, |normal| = 1."""
-        normal = _cx(normal)
-        n = normal / abs(normal)
-        return CircleOnSphere(0.0, n, -2.0 * float(offset))
-
-    @staticmethod
-    def from_sphere_plane(n, h) -> "CircleOnSphere":
-        """Circle cut on the unit sphere by the plane n . x = h, |n| = 1, |h| < 1."""
-        nx, ny, nz = (float(v) for v in n)
-        h = float(h)
-        scale = 1.0 / math.sqrt(1.0 - h * h)
-        k = -h * scale
-        return CircleOnSphere(k + nz * scale, complex(nx, ny) * scale, k - nz * scale)
-
     @property
     def is_line(self) -> bool:
         return abs(self.A) <= 1e-12
@@ -336,18 +309,6 @@ class CircleOnSphere:
         if self.is_line:
             raise ValueError("a line has no finite radius")
         return 1.0 / self.A  # det = -1 normalization
-
-    @property
-    def normal(self) -> complex:
-        if not self.is_line:
-            raise ValueError("not a line")
-        return self.B / abs(self.B)
-
-    @property
-    def offset(self) -> float:
-        if not self.is_line:
-            raise ValueError("not a line")
-        return -self.C / (2.0 * abs(self.B))
 
     def evaluate(self, p: IdealPoint) -> float:
         """Scale-free signed side value; zero exactly on the circle."""
@@ -387,32 +348,6 @@ class CircleOnSphere:
         )
         return CircleOnSphere(A2, B2, C2)
 
-    def to_sphere_plane(self):
-        """The plane n . x = h cutting this circle on the unit sphere."""
-        mx, my, mz = self.B.real, self.B.imag, (self.A - self.C) / 2.0
-        norm = math.sqrt(mx * mx + my * my + mz * mz)
-        h = -(self.A + self.C) / (2.0 * norm)
-        return ((mx / norm, my / norm, mz / norm), h)
-
-    def invert(self, p: IdealPoint) -> IdealPoint:
-        """Inversion (reflection) in this circle, as an anti-Mobius map."""
-        z, w = p.z.conjugate(), p.w.conjugate()
-        return IdealPoint(-self.B * z - self.C * w, self.A * z + self.B.conjugate() * w)
-
-    def sample_points(self, k: int):
-        """k points on the circle, for tests and diagnostics."""
-        pts = []
-        if self.is_line:
-            n, off = self.normal, self.offset
-            for j in range(k):
-                s = math.tan(math.pi * ((j + 0.5) / k - 0.5))
-                pts.append(IdealPoint.from_complex(off * n + 1j * n * s))
-        else:
-            c, r = self.center, self.radius
-            for j in range(k):
-                pts.append(IdealPoint.from_complex(c + r * cmath.exp(2j * math.pi * j / k)))
-        return pts
-
     def close_to(self, other: "CircleOnSphere", tol: float = TOL) -> bool:
         return (
             abs(self.A - other.A) <= tol
@@ -423,11 +358,6 @@ class CircleOnSphere:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def mobius_apply(g: Isometry, p: IdealPoint) -> IdealPoint:
-    """(z : w) -> (az + bw : cz + dw); projective, no division anywhere."""
-    return IdealPoint(g.a * p.z + g.b * p.w, g.c * p.z + g.d * p.w)
 
 
 def classify(g: Isometry, tol: float = TOL) -> str:
@@ -484,8 +414,8 @@ def _ortho_cosh(g1: Geodesic, g2: Geodesic) -> complex:
     """cosh of the complex distance, from the projective cross-ratio."""
     t = _send_to_zero_infinity(g1)
     q1, q2 = g2.endpoints
-    u = mobius_apply(t, q1)
-    v = mobius_apply(t, q2)
+    u = t.apply(q1)
+    v = t.apply(q2)
     num = u.z * v.w + v.z * u.w
     den = v.z * u.w - u.z * v.w
     return num / den
@@ -506,23 +436,6 @@ def orthodistance(g1: Geodesic, g2: Geodesic) -> ComplexDistance:
     return ComplexDistance(max(eta.real, 0.0), eta.imag)
 
 
-def _foot_on_first(g1: Geodesic, g2: Geodesic) -> HPoint:
-    t = _send_to_zero_infinity(g1)
-    q1, q2 = g2.endpoints
-    u = mobius_apply(t, q1).value
-    v = mobius_apply(t, q2).value
-    # common perpendicular from the vertical axis meets it at height sqrt|uv|
-    return t.inverse().apply_h(HPoint(0j, math.sqrt(abs(u * v))))
-
-
-def orthocurve_feet(g1: Geodesic, g2: Geodesic):
-    """Endpoints of the common perpendicular segment, one on each line."""
-    dist = orthodistance(g1, g2)
-    if dist.d <= INTERSECTION_TOL:
-        raise IntersectingLines("lines intersect; no orthocurve segment")
-    return (_foot_on_first(g1, g2), _foot_on_first(g2, g1))
-
-
 def midplane(g1: Geodesic, g2: Geodesic) -> CircleOnSphere:
     """Ideal boundary circle of the plane orthogonal to the orthocurve at its midpoint.
 
@@ -534,33 +447,17 @@ def midplane(g1: Geodesic, g2: Geodesic) -> CircleOnSphere:
         raise IntersectingLines("intersecting lines have no midplane")
     t = _send_to_zero_infinity(g1)
     q1, q2 = g2.endpoints
-    u = mobius_apply(t, q1).value
-    v = mobius_apply(t, q2).value
+    u = t.apply(q1).value
+    v = t.apply(q2).value
     # rescale so the second line's endpoints multiply to 1, then map the pair
     # (0, oo), (u', 1/u') to (-1, 1), (-a, a); the midplane there is |z| = sqrt|a|
     s = (u * v) ** -0.25
     scale = Isometry.from_matrix(s, 0.0, 0.0, 1.0 / s)
     r = Isometry.from_matrix(1.0, 1.0, 1.0, -1.0)
     w_map = r @ (scale @ t)
-    a_val = mobius_apply(w_map, q1).value
+    a_val = w_map.apply(q1).value
     h0 = CircleOnSphere(1.0, 0j, -abs(a_val))  # center 0, radius sqrt|a|
     return h0.transformed(w_map.inverse())
-
-
-def separates(c: CircleOnSphere, p: IdealPoint, q: IdealPoint, tol: float = TOL) -> bool:
-    """True iff p and q lie in different components of the sphere minus c."""
-    sp = c.evaluate(p)
-    sq = c.evaluate(q)
-    if abs(sp) <= tol or abs(sq) <= tol:
-        raise PointOnCircle("query point lies on the circle")
-    return (sp > 0) != (sq > 0)
-
-
-def dist_point_geodesic(x: HPoint, g: Geodesic) -> float:
-    """Hyperbolic distance from a point of H^3 to the line g."""
-    t = _send_to_zero_infinity(g)
-    y = t.apply_h(x)
-    return math.asinh(abs(y.z) / y.t)
 
 
 def visual_angle(d: float) -> float:

@@ -1,13 +1,14 @@
-"""Insulator families of midplane circles and the noncoalesceability decision.
+"""Insulator families of midplane discs and the noncoalesceability decision.
 
-The separation question -- do up to three circles on the sphere jointly
-separate two marked points p and q? -- has a closed-form answer.  If one
-circle separates them by sign, it does.  Otherwise a rotation of the sphere
-sends p to infinity, each circle's side without p becomes a closed disc, and
-q is cut off exactly when the three discs meet pairwise and q lies strictly
-inside the triangle of their centres; the proof is in
-:func:`_three_discs_enclose`.  :func:`separating_triple` asks this of every
-multiset of a family, testing and rotating each circle once per family.
+Each family is normalised once, in the base chart: the Mobius map sending the
+base endpoint p_minus to 0 and p_plus to infinity.  There every member's
+midplane circle misses infinity, and its side without p_plus is a closed disc
+(centre, radius).  Whether up to three members separate p_plus from p_minus
+on the sphere becomes whether 0 lies in a bounded component of the plane
+minus up to three discs.  One disc cuts 0 off when |c| < r; three discs that
+miss 0 do so exactly when they meet pairwise and 0 lies strictly inside the
+triangle of their centres, as proved in :func:`_three_discs_enclose`.
+:func:`separating_triple` asks this of every multiset of a family.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .hcore import (
     PointOnCircle,
     SharedEndpoint,
     midplane,
-    separates,
 )
 from .lifts import LiftSet, Word, ortho_spectrum
 
@@ -41,7 +41,8 @@ DEFAULT_BUDGET = 50_000
 
 @dataclass(frozen=True)
 class FamilyMember:
-    circle: CircleOnSphere
+    circle: CircleOnSphere  # the midplane, in the input frame
+    disc: tuple  # (centre, radius) of its side without p_plus, in the base chart
     ortho: ComplexDistance
     word: Word
     lift_index: int
@@ -49,7 +50,7 @@ class FamilyMember:
 
 @dataclass
 class InsulatorFamily:
-    """Base geodesic endpoints plus the midplane circles to all nearby lifts."""
+    """Base geodesic endpoints plus the midplanes to all nearby lifts."""
 
     p_plus: IdealPoint
     p_minus: IdealPoint
@@ -60,48 +61,65 @@ class InsulatorFamily:
         return len(self.members)
 
 
+def base_chart_discs(circles, p_plus: IdealPoint, p_minus: IdealPoint) -> list:
+    """Each circle's closed side without p_plus as a disc (centre, radius) in
+    the base chart, the Mobius map sending p_minus to 0 and p_plus to oo.  The
+    circles must miss p_plus; a midplane does, since its d > INTERSECTION_TOL.
+    """
+    chart = Isometry.from_matrix(p_minus.w, -p_minus.z, p_plus.w, -p_plus.z)
+    discs = []
+    for c in circles:
+        tc = c.transformed(chart)
+        discs.append((-tc.B / tc.A, 1.0 / tc.A))
+    return discs
+
+
 def build_family(L: LiftSet, cutoff: float) -> InsulatorFamily:
-    """Midplane circle for each lift within the ortholength cutoff."""
+    """Midplane, and its disc in the base chart, for each lift within the
+    ortholength cutoff."""
     entries, diagnostics = ortho_spectrum(L, cutoff)
     p_plus, p_minus = L.base.endpoints
-    members = []
+    kept = []
     for e in entries:
         try:
-            circ = midplane(L.base, L.lifts[e.index].geodesic)
+            kept.append((midplane(L.base, L.lifts[e.index].geodesic), e))
         except (SharedEndpoint, IntersectingLines) as exc:
             diagnostics.append((e.index, f"degenerate midplane: {exc}"))
-            continue
-        members.append(FamilyMember(circ, e.distance, e.word, e.index))
+    discs = base_chart_discs([c for c, _ in kept], p_plus, p_minus)
+    members = [FamilyMember(c, D, e.distance, e.word, e.index) for (c, e), D in zip(kept, discs)]
     return InsulatorFamily(p_plus, p_minus, members, diagnostics)
 
 
 # ---------------------------------------------------------------------------
-# separation by up to three circles
+# separation by up to three discs
 
 
-def _three_discs_enclose(discs, z: complex) -> tuple:
-    """(enclosed, near_tangency): whether z lies in a bounded component of
-    the plane minus three closed discs (center, radius), z outside all of
+def _three_discs_enclose(discs) -> tuple:
+    """(enclosed, near_tangency): whether 0 lies in a bounded component of
+    the plane minus three closed discs (center, radius), 0 outside all of
     them, and whether some pair of discs is tangent within tolerance.
 
-    The answer is yes iff every pair of discs meets and z is strictly inside
+    The answer is yes iff every pair of discs meets and 0 is strictly inside
     the triangle of the three centres:
 
     - (<=) If D_i and D_j meet, the edge [c_i, c_j] lies in D_i u D_j, so the
-      triangle's boundary lies in the union and encloses z.
-    - (=>) If z lies outside the closed triangle, some line through z has the
+      triangle's boundary lies in the union and encloses 0.
+    - (=>) If 0 lies outside the closed triangle, some line through 0 has the
       triangle strictly on one side.  Each disc meets the other open
       half-plane in at most a minor segment, which lies over the disc's chord
-      on the line; z is in no disc, hence on no chord, so the normal ray from
-      z into that half-plane meets no disc and escapes to infinity.
+      on the line; 0 is in no disc, hence on no chord, so the normal ray from
+      0 into that half-plane meets no disc and escapes to infinity.
     - If some pair of discs is disjoint, the nerve of the three convex discs
       has no cycle, so by the nerve theorem each component of the union is
       contractible, and by Alexander duality its complement is connected.
 
-    Numerically: the ball of radius rho = min(|z - c_i| - r_i) about z misses
-    every disc, and when z is enclosed the triangle's boundary lies in the
-    discs, so z is at least rho from each edge line.  "Inside" is accepted
-    only when z is at least rho/2 from each edge line on the same side of
+    Every step is invariant under similarities z -> az + b, and so is the
+    numerical rule below, whose tolerances are relative.
+
+    Numerically: the ball of radius rho = min(|c_i| - r_i) about 0 misses
+    every disc, and when 0 is enclosed the triangle's boundary lies in the
+    discs, so 0 is at least rho from each edge line.  "Inside" is accepted
+    only when 0 is at least rho/2 from each edge line on the same side of
     all three; this rejects near-collinear centres that a sign test would
     misread.  Coincident centres span no triangle.
     """
@@ -114,58 +132,42 @@ def _three_discs_enclose(discs, z: complex) -> tuple:
         meet = meet and gap <= 0.0
     if not meet:
         return False, near
-    rho = min(abs(z - c) - r for c, r in discs)
+    rho = min(abs(c) - r for c, r in discs)
     (c0, _), (c1, _), (c2, _) = discs
     sides = []
     for ci, cj in ((c0, c1), (c1, c2), (c2, c0)):
         e = cj - ci
-        s = (e.conjugate() * (z - ci)).imag  # |e| times the signed distance to the edge line
+        s = (e * ci.conjugate()).imag  # |e| times the signed distance from 0 to the edge line
         if e == 0 or abs(s) < abs(e) * rho / 2.0:
             return False, near
         sides.append(s > 0.0)
     return all(sides) or not any(sides), near
 
 
-def separating_triple(
-    circles, p: IdealPoint, q: IdealPoint, budget: int = DEFAULT_BUDGET, tol: float = TOL
-) -> Verdict:
-    """Search the multisets of three of the circles, repetition allowed, in
-    ``combinations_with_replacement`` order, for the first whose union
-    separates p and q on the sphere; each multiset tested counts against the
+def separating_triple(discs, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Search the multisets of three of the base-chart discs, repetition
+    allowed, in ``combinations_with_replacement`` order, for the first whose
+    union cuts 0 off from infinity; each multiset tested counts against the
     budget.
 
-    A circle that separates p and q by sign decides every multiset holding
-    it.  Otherwise p and q lie on the same side of every circle, and sending
-    p to infinity turns each circle's other side into a closed disc with q
-    outside it, so q's component is its component of the plane minus the
-    discs.  A multiset with a repeated index has at most two discs, whose
-    complement is connected (see :func:`_three_discs_enclose`), so only three
-    distinct indices are decided there.  Each circle is tested and rotated
-    once, however many multisets hold it.
+    A disc holding 0 decides every multiset holding it.  Otherwise 0's
+    component is its component of the plane minus the discs.  A multiset
+    with a repeated index has at most two discs, whose complement is
+    connected (see :func:`_three_discs_enclose`), so only three distinct
+    indices are decided there.
     """
-    circles = list(circles)
-    for c in circles:
-        if c.contains(p, tol) or c.contains(q, tol):
-            raise PointOnCircle("query point lies on a circle")
-    sign = [separates(c, p, q, tol) for c in circles]
-    # unitary map with p -> oo, a rotation of the sphere
-    chart = Isometry.from_matrix(p.z.conjugate(), p.w.conjugate(), -p.w, p.z)
-    discs = []
-    for c in circles:
-        # A is the side value of p, so |A| > tol and the image is no line
-        tc = c.transformed(chart)
-        discs.append((-tc.B / tc.A, 1.0 / tc.A))
-    z = chart.apply(q).value
+    discs = list(discs)
+    inside = [abs(c) < r for c, r in discs]
     tested = 0
     flagged = 0
-    for idx in combinations_with_replacement(range(len(circles)), 3):
+    for idx in combinations_with_replacement(range(len(discs)), 3):
         if tested >= budget:
             return Verdict("inconclusive", "budget-exhausted", tested=tested, flagged=flagged)
         tested += 1
         i, j, k = idx
-        separated = sign[i] or sign[j] or sign[k]
+        separated = inside[i] or inside[j] or inside[k]
         if not separated and i < j < k:
-            separated, near = _three_discs_enclose((discs[i], discs[j], discs[k]), z)
+            separated, near = _three_discs_enclose((discs[i], discs[j], discs[k]))
             flagged += near
         if separated:
             return Verdict("coalescing", "exhaustive-triples", triple=idx, tested=tested, flagged=flagged)
@@ -191,11 +193,15 @@ def noncoalesceable(F: InsulatorFamily, budget: int = DEFAULT_BUDGET, tol: float
 
     Fast path: when every member's half-ortholength clears (log 3)/2, the
     visual-angle argument rules out any separating configuration.  Otherwise
-    triples (with repetition, ascending ortholength) are tested exhaustively
-    within the budget by :func:`separating_triple`.
+    a circle through a base endpoint raises :class:`PointOnCircle`, and
+    triples (with repetition, ascending ortholength) of the members' discs
+    are tested exhaustively within the budget by :func:`separating_triple`.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if all(m.ortho.d / 2.0 > LOG3_HALF + tol for m in F.members):
         return Verdict("noncoalesceable", "tube-shortcut")
-    return separating_triple([m.circle for m in F.members], F.p_plus, F.p_minus, budget, tol)
+    for m in F.members:
+        if m.circle.contains(F.p_plus, tol) or m.circle.contains(F.p_minus, tol):
+            raise PointOnCircle("query point lies on a circle")
+    return separating_triple([m.disc for m in F.members], budget)

@@ -5,14 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from hyptube.hcore import Geodesic, Isometry, classify
-from hyptube.insulator import separating_triple
+from hyptube.hcore import TOL, Geodesic, Isometry, PointOnCircle, classify
+from hyptube.insulator import base_chart_discs, separating_triple
 from hyptube.lifts import GroupPresentation
+from sphere import from_sphere_plane, from_sphere_point, point_at
+
+
+def to_discs(circles, p, q, tol: float = TOL) -> list:
+    """A synthetic circle list as discs in the chart with p at oo and q at 0;
+    raises PointOnCircle if a circle holds p or q."""
+    circles = list(circles)
+    for c in circles:
+        if c.contains(p, tol) or c.contains(q, tol):
+            raise PointOnCircle("query point lies on a circle")
+    return base_chart_discs(circles, p, q)
 
 
 def separated(circles, p, q) -> bool:
     """True iff some multiset of up to three of the circles separates p and q."""
-    return separating_triple(circles, p, q).triple is not None
+    return separating_triple(to_discs(circles, p, q)).triple is not None
 
 
 def random_isometry(rng) -> Isometry:
@@ -64,7 +75,7 @@ def ortho_min_oracle(g1: Geodesic, g2: Geodesic) -> float:
     from scipy.optimize import minimize
 
     def f(x):
-        return g1.point_at(x[0]).dist(g2.point_at(x[1]))
+        return point_at(g1, x[0]).dist(point_at(g2, x[1]))
 
     best = math.inf
     for s1 in (-2.0, 0.0, 2.0):
@@ -77,17 +88,6 @@ def ortho_min_oracle(g1: Geodesic, g2: Geodesic) -> float:
             )
             best = min(best, r.fun)
     return best
-
-
-def dist_to_line_oracle(x, g: Geodesic) -> float:
-    """Brute-force minimum distance from a point to a line."""
-    from scipy.optimize import minimize_scalar
-
-    r = minimize_scalar(
-        lambda s: g.point_at(s).dist(x), bounds=(-20, 20), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return r.fun
 
 
 def _unit(rng):
@@ -103,8 +103,6 @@ def random_circle_instance(rng, n=3, margin=0.04):
     """Random circles and two query points on the sphere, rejection-sampled so
     that every pairwise tangency gap and every point-to-circle distance is at
     least `margin` radians.  Keeps raster and exact decisions comparable."""
-    from hyptube.hcore import CircleOnSphere, IdealPoint
-
     while True:
         planes = [(_unit(rng), float(rng.uniform(-0.9, 0.9))) for _ in range(n)]
         pts = [_unit(rng) for _ in range(2)]
@@ -127,9 +125,9 @@ def random_circle_instance(rng, n=3, margin=0.04):
         if math.acos(max(-1.0, min(1.0, float(np.dot(pts[0], pts[1]))))) < margin:
             ok = False
         if ok:
-            circles = [CircleOnSphere.from_sphere_plane(tuple(nv), h) for nv, h in planes]
-            p = IdealPoint.from_sphere_point(pts[0])
-            q = IdealPoint.from_sphere_point(pts[1])
+            circles = [from_sphere_plane(tuple(nv), h) for nv, h in planes]
+            p = from_sphere_point(pts[0])
+            q = from_sphere_point(pts[1])
             return circles, p, q
 
 

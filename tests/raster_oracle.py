@@ -8,6 +8,7 @@ import numpy as np
 from scipy import ndimage
 
 from hyptube.hcore import IdealPoint
+from sphere import to_sphere_plane
 
 
 class GuardBandSwallowedPoint(ValueError):
@@ -48,7 +49,7 @@ def flood_fill_oracle(
     guard = guard_factor * math.pi / resolution
     blocked = np.zeros((nth, nph), dtype=bool)
     for c in circles:
-        n, h = c.to_sphere_plane()
+        n, h = to_sphere_plane(c)
         nv = rot @ np.array(n)
         beta = math.acos(max(-1.0, min(1.0, h)))
         alpha = np.arccos(np.clip(grid @ nv, -1.0, 1.0))

@@ -19,6 +19,7 @@ from conftest import (
     random_disjoint_pair,
     random_isometry,
     separated,
+    to_discs,
     twolift_presentation,
 )
 from hyptube.bounds import LOG3_HALF, long_geodesic_guarantee, short_geodesic_guarantee
@@ -29,18 +30,19 @@ from hyptube.hcore import (
     ideal,
     midplane,
     orthodistance,
-    separates,
     visual_angle,
 )
 from hyptube.insulator import (
     FamilyMember,
     InsulatorFamily,
+    base_chart_discs,
     build_family,
     noncoalesceable,
     separating_triple,
 )
 from hyptube.lifts import Word, check_log3_tube, lifts_of_geodesic, tube_radius
 from raster_oracle import flood_fill_oracle
+from sphere import invert, separates
 
 
 def _report(capsys, line):
@@ -89,7 +91,7 @@ def test_criterion_3_midplane(capsys):
         g1, g2 = random_coplanar_pair(rng)
         m = midplane(g1, g2)
         for p in g1.endpoints:
-            assert any(m.invert(p).close_to(q, 1e-9) for q in g2.endpoints)
+            assert any(invert(m, p).close_to(q, 1e-9) for q in g2.endpoints)
         for p in g1.endpoints:
             for q in g2.endpoints:
                 assert separates(m, p, q)
@@ -100,7 +102,7 @@ def test_criterion_3_midplane(capsys):
         for p in g1.endpoints:
             for q in g2.endpoints:
                 assert separates(m, p, q)
-        img = Geodesic(m.invert(g1.endpoints[0]), m.invert(g1.endpoints[1]))
+        img = Geodesic(invert(m, g1.endpoints[0]), invert(m, g1.endpoints[1]))
         meet = orthodistance(img, g2)
         assert meet.d < 1e-7  # inverted line passes through the far foot
     dt = time.perf_counter() - t0
@@ -121,7 +123,7 @@ def test_criterion_4_arrangement_vs_oracle(capsys):
     total = 500
     for k in range(total):
         circles, p, q = random_circle_instance(rng)
-        res = separating_triple(circles, p, q)
+        res = separating_triple(to_discs(circles, p, q))
         exact = res.triple is not None
         if res.flagged > 0:
             excluded += 1
@@ -176,7 +178,8 @@ def _random_above_threshold_family(rng, size):
         got = orthodistance(base, other)
         assert abs(got.d - d) < 1e-7
         circ = midplane(base, other)
-        members.append(FamilyMember(circ, got, Word((1,)), len(members) + 1))
+        (disc,) = base_chart_discs([circ], ideal(0), ideal("inf"))
+        members.append(FamilyMember(circ, disc, got, Word((1,)), len(members) + 1))
     members.sort(key=lambda m: m.ortho.d)
     return InsulatorFamily(ideal(0), ideal("inf"), members)
 
@@ -188,7 +191,7 @@ def test_criterion_6_shortcut_soundness(capsys):
         F = _random_above_threshold_family(rng, int(rng.integers(5, 9)))
         fast = noncoalesceable(F)
         assert fast.kind == "noncoalesceable" and fast.basis == "tube-shortcut"
-        slow = separating_triple([m.circle for m in F.members], F.p_plus, F.p_minus)
+        slow = separating_triple([m.disc for m in F.members])
         assert slow.kind == "noncoalesceable"
         assert slow.basis == "exhaustive-triples"
     dt = time.perf_counter() - t0

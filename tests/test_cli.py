@@ -230,3 +230,19 @@ def test_internal_error_exit_code(monkeypatch, capsys, exc_type):
     for command in ("insulator", "check"):
         assert run([command, TWOLIFT, "delta", "--max-word-length", "1"]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: internal: invariant broken\n"
+
+
+def test_readme_library_list_is_the_export_list():
+    import re
+    import types
+
+    import hyptube
+
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("from hyptube import (", 1)[1].split(")", 1)[0]
+    listed = set(re.findall(r"\b[A-Za-z_][A-Za-z0-9_]*\b", re.sub(r"#.*", "", block)))
+    exported = {
+        n for n, v in vars(hyptube).items()
+        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    assert listed == exported

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    dist_to_line_oracle,
     ortho_min_oracle,
     random_coplanar_pair,
     random_disjoint_pair,
@@ -20,9 +19,7 @@ from hyptube.hcore import (
     CircleOnSphere,
     ComplexDistance,
     Geodesic,
-    HPoint,
     IdealPoint,
-    IntersectingLines,
     Isometry,
     NotLoxodromic,
     PointOnCircle,
@@ -30,15 +27,12 @@ from hyptube.hcore import (
     axis,
     classify,
     complex_length,
-    dist_point_geodesic,
     ideal,
     midplane,
-    mobius_apply,
-    orthocurve_feet,
     orthodistance,
-    separates,
     visual_angle,
 )
+from sphere import from_sphere_plane, invert, sample_points, separates, to_sphere_plane
 
 SQRT3 = math.sqrt(3.0)
 
@@ -55,25 +49,25 @@ def diag_lox(rot=0.0) -> Isometry:
 
 def test_mobius_identity():
     p = ideal(2 + 1j)
-    assert mobius_apply(Isometry.identity(), p).close_to(p)
+    assert Isometry.identity().apply(p).close_to(p)
 
 
 def test_mobius_inversion():
     g = Isometry.from_matrix(0, -1, 1, 0)
-    assert mobius_apply(g, ideal(2)).close_to(ideal(-0.5))
-    assert mobius_apply(g, ideal(0)).close_to(ideal("inf"))
+    assert g.apply(ideal(2)).close_to(ideal(-0.5))
+    assert g.apply(ideal(0)).close_to(ideal("inf"))
 
 
 def test_mobius_scaling():
-    assert mobius_apply(diag_lox(), ideal(1)).close_to(ideal(3))
+    assert diag_lox().apply(ideal(1)).close_to(ideal(3))
 
 
 def test_mobius_composition_is_application(rng):
     for _ in range(50):
         g, h = random_isometry(rng), random_isometry(rng)
         p = ideal(complex(*rng.normal(size=2)))
-        lhs = mobius_apply(g @ h, p)
-        rhs = mobius_apply(g, mobius_apply(h, p))
+        lhs = (g @ h).apply(p)
+        rhs = g.apply(h.apply(p))
         assert lhs.close_to(rhs, 1e-9)
 
 
@@ -146,11 +140,11 @@ def test_axis_endpoints_are_fixed(rng):
     for _ in range(100):
         g = random_loxodromic(rng)
         for p in axis(g).endpoints:
-            assert mobius_apply(g, p).close_to(p, 1e-9)
+            assert g.apply(p).close_to(p, 1e-9)
 
 
 # ---------------------------------------------------------------------------
-# orthodistance, feet, midplanes
+# orthodistance and midplanes
 
 
 def test_orthodistance_fixture():
@@ -194,34 +188,6 @@ def test_orthodistance_oracle_on_random_pairs(rng):
         )
 
 
-def test_orthocurve_feet_fixture():
-    f1, f2 = orthocurve_feet(Geodesic.through(0, math.inf), Geodesic.through(1, 3))
-    assert abs(f1.z) < 1e-9 and f1.t == pytest.approx(SQRT3, abs=1e-9)
-    assert f2.z == pytest.approx(1.5, abs=1e-9)
-    assert f2.t == pytest.approx(SQRT3 / 2, abs=1e-9)
-
-
-def test_orthocurve_feet_concentric():
-    f1, f2 = orthocurve_feet(Geodesic.through(-1, 1), Geodesic.through(-3, 3))
-    assert abs(f1.z) < 1e-9 and f1.t == pytest.approx(1.0, abs=1e-9)
-    assert abs(f2.z) < 1e-9 and f2.t == pytest.approx(3.0, abs=1e-9)
-
-
-def test_orthocurve_feet_distance_matches(rng):
-    for _ in range(100):
-        g1, g2 = random_disjoint_pair(rng)
-        f1, f2 = orthocurve_feet(g1, g2)
-        assert f1.dist(f2) == pytest.approx(orthodistance(g1, g2).d, abs=1e-9)
-        assert dist_to_line_oracle(f2, g1) == pytest.approx(
-            orthodistance(g1, g2).d, abs=1e-6
-        )
-
-
-def test_orthocurve_feet_rejects_intersecting():
-    with pytest.raises(IntersectingLines):
-        orthocurve_feet(Geodesic.through(0, math.inf), Geodesic.through(-1, 1))
-
-
 def test_midplane_fixture():
     m = midplane(Geodesic.through(0, math.inf), Geodesic.through(1, 3))
     assert m.center == pytest.approx(3.0, abs=1e-9)
@@ -247,10 +213,10 @@ def test_midplane_swaps_endpoints_coplanar(rng):
         g1, g2 = random_coplanar_pair(rng)
         m = midplane(g1, g2)
         for p in g1.endpoints:
-            img = m.invert(p)
+            img = invert(m, p)
             assert any(img.close_to(q, 1e-9) for q in g2.endpoints)
         for q in g2.endpoints:
-            img = m.invert(q)
+            img = invert(m, q)
             assert any(img.close_to(p, 1e-9) for p in g1.endpoints)
 
 
@@ -265,7 +231,7 @@ def test_midplane_inversion_twisted(rng):
         if theta < 1e-2 or theta > math.pi / 2 - 1e-2:
             continue
         m = midplane(g1, g2)
-        img = Geodesic(m.invert(g1.endpoints[0]), m.invert(g1.endpoints[1]))
+        img = Geodesic(invert(m, g1.endpoints[0]), invert(m, g1.endpoints[1]))
         meet = orthodistance(img, g2)
         assert meet.d == pytest.approx(0.0, abs=1e-7)
         assert abs(meet.theta) == pytest.approx(theta, abs=1e-7)
@@ -288,12 +254,12 @@ def test_midplane_isometry_equivariance(rng):
     for _ in range(50):
         h = random_isometry(rng)
         moved = midplane(h.apply_geodesic(g1), h.apply_geodesic(g2))
-        for p in m.sample_points(16):
+        for p in sample_points(m, 16):
             assert moved.contains(h.apply(p), 1e-7)
 
 
 # ---------------------------------------------------------------------------
-# separation, point-line distance, visual angle
+# separation by one circle, visual angle
 
 
 def test_separates_unit_circle():
@@ -309,26 +275,6 @@ def test_separates_midplane_fixture():
     for p in (ideal(0), ideal("inf")):
         for q in (ideal(1), ideal(3)):
             assert separates(m, p, q)
-
-
-def test_dist_point_geodesic():
-    g = Geodesic.through(0, math.inf)
-    assert dist_point_geodesic(HPoint(0, 2.5), g) == 0.0
-    assert dist_point_geodesic(HPoint(1, 2), g) == pytest.approx(
-        math.asinh(0.5), abs=1e-12
-    )
-    assert dist_point_geodesic(HPoint(1.5, SQRT3 / 2), g) == pytest.approx(
-        math.acosh(2), abs=1e-12
-    )
-
-
-def test_dist_point_geodesic_vs_oracle(rng):
-    for _ in range(50):
-        g = axis(random_loxodromic(rng))
-        x = HPoint(complex(*rng.normal(size=2)), abs(rng.normal()) + 0.2)
-        assert dist_point_geodesic(x, g) == pytest.approx(
-            dist_to_line_oracle(x, g), abs=1e-6
-        )
 
 
 def test_visual_angle_values():
@@ -392,8 +338,8 @@ def test_circle_roundtrips():
     c = CircleOnSphere.circle(2 + 1j, 0.75)
     assert c.center == pytest.approx(2 + 1j, abs=1e-12)
     assert c.radius == pytest.approx(0.75, abs=1e-12)
-    n, h = c.to_sphere_plane()
-    c2 = CircleOnSphere.from_sphere_plane(n, h)
+    n, h = to_sphere_plane(c)
+    c2 = from_sphere_plane(n, h)
     assert c.close_to(c2, 1e-9)
 
 
@@ -402,12 +348,12 @@ def test_circle_transform_is_pointwise(rng):
     for _ in range(25):
         h = random_isometry(rng)
         tc = c.transformed(h)
-        for p in c.sample_points(16):
+        for p in sample_points(c, 16):
             assert tc.contains(h.apply(p), 1e-7)
 
 
 def test_line_form():
-    l = CircleOnSphere.line(1, 2.0)  # vertical line Re z = 2
+    l = CircleOnSphere(0.0, 1.0, -4.0)  # vertical line Re z = 2
     assert l.is_line
     assert l.contains(ideal(2 + 5j))
     assert l.contains(ideal("inf"))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_circle_instance, random_isometry, separated
+from conftest import random_circle_instance, random_isometry, separated, to_discs
 from hyptube.bounds import LOG3_HALF
 from hyptube.cli import parse_group_file
 from hyptube.hcore import (
@@ -21,12 +21,14 @@ from hyptube.hcore import (
 from hyptube.insulator import (
     FamilyMember,
     InsulatorFamily,
+    base_chart_discs,
     build_family,
     noncoalesceable,
     separating_triple,
 )
 from hyptube.lifts import Word, lifts_of_geodesic
 from raster_oracle import GuardBandSwallowedPoint, flood_fill_oracle
+from sphere import sample_points, separates
 
 ACOSH2 = math.acosh(2.0)
 GROUPS = Path(__file__).resolve().parents[1] / "groups"
@@ -36,11 +38,11 @@ ROOTS = [cmath.exp(2j * math.pi * k / 3) for k in range(3)]
 def chain_family(radius: float) -> InsulatorFamily:
     """Synthetic family: circles of the given radius at the cube roots of
     unity, base endpoints 0 and infinity."""
+    circles = [CircleOnSphere.circle(c, radius) for c in ROOTS]
+    discs = base_chart_discs(circles, ideal(0), ideal("inf"))
     members = [
-        FamilyMember(
-            CircleOnSphere.circle(c, radius), ComplexDistance(0.5, 0.0), Word((1,)), k + 1
-        )
-        for k, c in enumerate(ROOTS)
+        FamilyMember(c, disc, ComplexDistance(0.5, 0.0), Word((1,)), k + 1)
+        for k, (c, disc) in enumerate(zip(circles, discs))
     ]
     return InsulatorFamily(ideal(0), ideal("inf"), members)
 
@@ -57,6 +59,9 @@ def test_build_family_twolift(twolift):
     assert m.circle.center == pytest.approx(3.0, abs=1e-9)
     assert m.circle.radius == pytest.approx(math.sqrt(6), abs=1e-9)
     assert m.ortho.d == pytest.approx(ACOSH2, abs=1e-9)
+    # the base chart is z -> u / z with |u| = 1 here, sending p_plus = 0 to oo
+    assert abs(m.disc[0]) == pytest.approx(1.0, abs=1e-9)
+    assert m.disc[1] == pytest.approx(math.sqrt(2 / 3), abs=1e-9)
     ends = {F.p_plus, F.p_minus}
     assert any(p.close_to(ideal(0)) for p in ends)
     assert any(p.is_infinity for p in ends)
@@ -74,8 +79,6 @@ def test_build_family_empty_for_cyclic():
 
 
 def test_build_family_sorted_and_separating(twolift):
-    from hyptube.hcore import separates
-
     L = lifts_of_geodesic(twolift, Word((1,)), 3)
     F = build_family(L, cutoff=6.0)
     ds = [m.ortho.d for m in F.members]
@@ -85,6 +88,9 @@ def test_build_family_sorted_and_separating(twolift):
         for p in (F.p_plus, F.p_minus):
             for q in lift.geodesic.endpoints:
                 assert separates(m.circle, p, q)
+        # the disc misses 0 = p_minus, with |c| / r = cosh(d/2)
+        c, r = m.disc
+        assert abs(c) / r == pytest.approx(math.cosh(m.ortho.d / 2), rel=1e-9)
 
 
 def test_build_family_equivariance(twolift, rng):
@@ -98,7 +104,7 @@ def test_build_family_equivariance(twolift, rng):
     for m in F.members:
         mh = by_word[m.word]
         assert m.ortho.d == pytest.approx(mh.ortho.d, abs=1e-9)
-        for p in m.circle.sample_points(8):
+        for p in sample_points(m.circle, 8):
             assert mh.circle.contains(h.apply(p), 1e-6)
 
 
@@ -145,7 +151,7 @@ def test_triple_point_on_circle():
 
 
 def test_separates_union_no_circles():
-    assert separating_triple([], ideal(0), ideal(1)).triple is None
+    assert separating_triple([]).triple is None
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e-12])
@@ -160,13 +166,13 @@ def test_repeated_circle_at_distinct_indices_does_not_separate(shift):
 def test_near_tangency_flagged():
     tangent_chain = [CircleOnSphere.circle(r, math.sqrt(3) / 2) for r in ROOTS]
     # only the multiset of three distinct circles reads the discs
-    assert separating_triple(tangent_chain, ideal("inf"), ideal(0)).flagged == 1
+    assert separating_triple(to_discs(tangent_chain, ideal("inf"), ideal(0))).flagged == 1
 
 
 def test_twolift_horizon8_near_tangent_triple_is_decided():
     gf = parse_group_file((GROUPS / "twolift.grp").read_text())
     F = build_family(lifts_of_geodesic(gf.presentation, gf.word("delta"), 8), 4.0)
-    res = separating_triple([F.members[i].circle for i in (0, 53, 56)], F.p_plus, F.p_minus)
+    res = separating_triple([F.members[i].disc for i in (0, 53, 56)])
     assert res.flagged > 0
 
 
@@ -236,7 +242,7 @@ def test_family_search_matches_per_multiset_calls(budget):
 def test_shortcut_agrees_with_exhaustive(twolift):
     L = lifts_of_geodesic(twolift, Word((1,)), 2)
     F = build_family(L, cutoff=4.0)
-    v = separating_triple([m.circle for m in F.members], F.p_plus, F.p_minus)
+    v = separating_triple([m.disc for m in F.members])
     assert v.kind == "noncoalesceable" and v.basis == "exhaustive-triples"
     assert v.tested > 0
 
@@ -269,11 +275,9 @@ def test_budget_exhaustion():
 
 
 def test_single_separating_circle_reported_as_repeated_triple():
-    members = [
-        FamilyMember(
-            CircleOnSphere.circle(0, 1), ComplexDistance(0.5, 0.0), Word((1,)), 1
-        )
-    ]
+    c = CircleOnSphere.circle(0, 1)
+    (disc,) = base_chart_discs([c], ideal(0), ideal("inf"))
+    members = [FamilyMember(c, disc, ComplexDistance(0.5, 0.0), Word((1,)), 1)]
     F = InsulatorFamily(ideal(0), ideal("inf"), members)
     v = noncoalesceable(F)
     assert v.kind == "coalescing" and v.triple == (0, 0, 0)
@@ -282,7 +286,7 @@ def test_single_separating_circle_reported_as_repeated_triple():
 def test_sign_separating_circle_in_last_slot():
     # the unit circle separates 0 from oo by sign; the circle about 5 does not
     circles = [CircleOnSphere.circle(5, 1), CircleOnSphere.circle(0, 1)]
-    v = separating_triple(circles, ideal(0), ideal("inf"))
+    v = separating_triple(to_discs(circles, ideal(0), ideal("inf")))
     assert v.triple == (0, 0, 1) and v.tested == 2
 
 
